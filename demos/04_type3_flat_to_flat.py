@@ -11,9 +11,9 @@ flat position.
 
 import numpy as np
 
-from flexoct import (DriveSpec, VERTICES, build_type3_flat, classify, detect_flat,
-                     flex_path, vertex_face_angles)
-from flexoct.octahedron import VERTEX_CYCLES
+from flexoct import (DriveSpec, VERTICES, build_type3_flat, classify, flex_path,
+                     vertex_face_angles)
+from flexoct.octahedron import VERTEX_CYCLES, coplanarity_measure
 from flexoct.cli import export_frames
 
 A, B, C = (0.0, 0.0), (4.0, 0.0), (1.0, 2.5)
@@ -26,7 +26,7 @@ print("constructed flat vertices:")
 for k, v in construction.flat_points.items():
     print(f"  {k}: ({v[0]:+.5f}, {v[1]:+.5f})")
 print(f"closure (cevian concurrency) residual: {construction.ceva_residual:.2e}")
-print(f"coplanarity measure: {detect_flat(flat)[0]:.2e}")
+print(f"coplanarity measure: {coplanarity_measure(flat):.2e}")
 
 print("\nevery vertex has opposite faces equal or supplementary in pairs:")
 for v in VERTICES:

@@ -18,8 +18,7 @@ from .octahedron import (EDGE_ORDER, FACETS, OPPOSITE_EDGES, VERTICES, Realizati
 from .builders import (Type3Construction, build_type1, build_type1_mirror,
                        build_type2, build_type3_flat)
 from .flexion import (DriveSpec, FlexionPath, NotFlexible, RigidityReport,
-                      detect_flat, facet_crossings, flex_dimension, flex_path,
-                      rigidity_matrix)
+                      facet_crossings, flex_dimension, flex_path, rigidity_matrix)
 from .verifiers import (dihedral_cos_line_fit, hexagon_traces, mannheim_point,
                         opposite_dihedral_trace)
 
@@ -37,8 +36,8 @@ __all__ = [
     "regular_octahedron",
     "build_type1", "build_type1_mirror", "build_type2", "build_type3_flat",
     "Type3Construction",
-    "rigidity_matrix", "flex_dimension", "flex_path", "detect_flat",
-    "facet_crossings", "DriveSpec", "FlexionPath", "RigidityReport", "NotFlexible",
+    "rigidity_matrix", "flex_dimension", "flex_path", "facet_crossings",
+    "DriveSpec", "FlexionPath", "RigidityReport", "NotFlexible",
     "mannheim_point", "opposite_dihedral_trace", "hexagon_traces",
     "dihedral_cos_line_fit",
 ]

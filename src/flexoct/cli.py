@@ -2,7 +2,7 @@
 
 Jobs are described by a JSON file and dispatched by command:
 
-    flexoct <command> --spec job.json [--out DIR] [--steps N] [--tol X] [--jobs N]
+    flexoct <command> --spec job.json [--out DIR] [--steps N] [--tol X]
 
 with commands build-type1, build-type1-mirror, build-type2, build-type3,
 classify, flex, verify, and fourbar.  Flexion frames are exported as
@@ -293,22 +293,17 @@ def export_frames(path: flexion.FlexionPath, out_dir) -> list[str]:
 
 
 def _load_frames_dir(frames_dir) -> flexion.FlexionPath:
-    out = Path(frames_dir)
-    objs = sorted(out.glob("frame_*.obj"))
+    """Imported frames, with edge deviations measured against frame 0."""
+    objs = sorted(Path(frames_dir).glob("frame_*.obj"))
     if not objs:
         raise IoError(f"no frame_*.obj files under {frames_dir}")
+    reals = [read_obj(p) for p in objs]
+    target_len = octahedron.edge_length_array(reals[0].points)
     frames = []
     arc = 0.0
-    prev = None
-    for p in objs:
-        r = read_obj(p)
-        if prev is not None:
-            arc += float(np.linalg.norm(r.points - prev.points)) / prev.diameter()
-        measure = octahedron.coplanarity_measure(r)
-        frames.append(flexion.PathFrame(
-            realization=r, arclength=arc, dihedrals=octahedron.all_dihedrals(r),
-            max_edge_deviation=0.0, flat_measure=measure, flat=measure <= 1e-6))
-        prev = r
+    for prev, r in zip([reals[0]] + reals, reals):
+        arc += float(np.linalg.norm(r.points - prev.points)) / prev.diameter()
+        frames.append(flexion.make_frame(r, arc, target_len, 1e-6))
     return flexion.FlexionPath(frames=frames, termination="imported")
 
 
@@ -516,8 +511,6 @@ def main(argv=None) -> int:
                         help="override drive.max_steps")
     parser.add_argument("--tol", type=float, default=None,
                         help="override the corrector tolerance")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="concurrent cases for sweep specs")
     args = parser.parse_args(argv)
 
     try:
@@ -533,15 +526,7 @@ def main(argv=None) -> int:
                       f"expected {args.command!r}", file=sys.stderr)
                 return 1
         base = Path(args.out or "flexoct_out")
-        codes = []
-        if args.jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [pool.submit(run, job, base / f"case_{i:03d}", args)
-                           for i, job in enumerate(spec)]
-                codes = [f.result() for f in futures]
-        else:
-            codes = [run(job, base / f"case_{i:03d}", args) for i, job in enumerate(spec)]
+        codes = [run(job, base / f"case_{i:03d}", args) for i, job in enumerate(spec)]
         return max(codes) if codes else 0
 
     if spec.command != args.command:

@@ -24,12 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .octahedron import (EDGE_ORDER, FACET_NAMES, Realization, all_dihedrals,
-                         canonical_edge, coplanarity_measure, dihedral_angle,
-                         edge_lengths, facet_points)
-
-_VIDX = {v: i for i, v in enumerate("ABCDEF")}
-_EDGE_IDX = [(_VIDX[e[0]], _VIDX[e[1]]) for e in EDGE_ORDER]
+from .octahedron import (EDGE_INCIDENCE, EDGE_ORDER, FACET_NAMES, FACET_VERTS,
+                         VERTICES, Realization, all_dihedrals, canonical_edge,
+                         coplanarity_measure, dihedral_angle, dot_rows,
+                         edge_length_array, edge_lengths, edge_vectors, row_norms)
 
 
 class NotFlexible(ValueError):
@@ -123,39 +121,26 @@ class FlexionPath:
         return [ev for ev in self.events if ev.kind == "flat"]
 
 
-def rigidity_matrix(r: Realization, el: dict[str, float] | None = None) -> np.ndarray:
+def rigidity_matrix(r: Realization) -> np.ndarray:
     """12 x 18 Jacobian of the squared edge-length constraints."""
-    x = r.points
-    m = np.zeros((12, 18))
-    for row, (i, j) in enumerate(_EDGE_IDX):
-        d = 2.0 * (x[i] - x[j])
-        m[row, 3 * i:3 * i + 3] = d
-        m[row, 3 * j:3 * j + 3] = -d
-    return m
+    d = 2.0 * edge_vectors(r.points)
+    return (EDGE_INCIDENCE[:, :, None] * d[:, None, :]).reshape(12, 18)
 
 
-def flex_dimension(r: Realization, el: dict[str, float] | None = None,
-                   rank_tol: float = 1e-7) -> RigidityReport:
+def flex_dimension(r: Realization, rank_tol: float = 1e-7) -> RigidityReport:
     """Numerical rank of the rigidity matrix and the flex count 18 - 6 - rank.
 
     Coplanar realizations are flagged degenerate: every out-of-plane
     displacement is then a first-order flex, so the reported dimension
     overcounts finite flexes there.
     """
-    sv = np.linalg.svd(rigidity_matrix(r, el), compute_uv=False)
+    sv = np.linalg.svd(rigidity_matrix(r), compute_uv=False)
     rank = int(np.sum(sv > rank_tol * sv[0])) if sv[0] > 0 else 0
     return RigidityReport(
         singular_values=sv,
         rank=rank,
         flex_dimension=18 - 6 - rank,
         degenerate_flag=coplanarity_measure(r) <= 1e-6)
-
-
-def detect_flat(r: Realization, tol: float = 1e-8) -> tuple[float, bool]:
-    """Coplanarity measure (smallest singular value of the centered
-    coordinates over their norm) and whether it is at most tol."""
-    m = coplanarity_measure(r)
-    return m, m <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +236,14 @@ def facet_crossings(r: Realization, tol: float | None = None) -> list[tuple[str,
     """
     if tol is None:
         tol = 1e-9 * r.diameter()
-    tris = {name: facet_points(r, name) for name in FACET_NAMES}
+    tris = r.points[FACET_VERTS]
     out = []
     for i in range(len(FACET_NAMES)):
         for j in range(i + 1, len(FACET_NAMES)):
             f1, f2 = FACET_NAMES[i], FACET_NAMES[j]
             if len(set(f1) & set(f2)) >= 2:
                 continue
-            if _tri_tri_cross(tris[f1], tris[f2], tol):
+            if _tri_tri_cross(tris[i], tris[j], tol):
                 out.append((f1, f2))
     return out
 
@@ -280,7 +265,7 @@ class _System:
         self.diam = r0.diameter()
         self.targets2 = np.array([el[e] ** 2 for e in EDGE_ORDER])
         self.target_len = np.sqrt(self.targets2)
-        i0, i1, i2 = (_VIDX[v] for v in pin)
+        i0, i1, i2 = (VERTICES.index(v) for v in pin)
         p = r0.points
         e1 = p[i1] - p[i0]
         e1 = e1 / np.linalg.norm(e1)
@@ -290,23 +275,16 @@ class _System:
             raise ValueError("pin vertices are collinear")
         n = n / nn
         e2 = np.cross(n, e1)
-        rows = np.zeros((6, 18))
-        for k in range(3):
-            rows[k, 3 * i0 + k] = 1.0
-        for k, vec in ((3, e2), (4, n)):
-            rows[k, 3 * i1:3 * i1 + 3] = vec
-            rows[k, 3 * i0:3 * i0 + 3] = -vec
-        rows[5, 3 * i2:3 * i2 + 3] = n
-        rows[5, 3 * i0:3 * i0 + 3] = -n
-        self.pin_rows = rows / self.diam
+        rows = np.zeros((6, 6, 3))
+        rows[:3, i0] = np.eye(3)
+        rows[3, i1], rows[4, i1], rows[5, i2] = e2, n, n
+        rows[3:, i0] = -np.array([e2, n, n])
+        self.pin_rows = rows.reshape(6, 18) / self.diam
 
     def edge_residual(self, x: np.ndarray) -> np.ndarray:
-        p = x.reshape(6, 3)
-        l2 = np.array([np.sum((p[i] - p[j]) ** 2) for i, j in _EDGE_IDX])
-        return (l2 - self.targets2) / self.targets2
-
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        return np.concatenate([self.edge_residual(x), self.pin_rows @ (x - self.x0)])
+        """Relative squared-length errors, (..., 12), for coordinates (..., 18)."""
+        d = edge_vectors(x.reshape(x.shape[:-1] + (6, 3)))
+        return ((d * d).sum(axis=-1) - self.targets2) / self.targets2
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         rows = rigidity_matrix(Realization.from_flat(x)) / self.targets2[:, None]
@@ -314,27 +292,34 @@ class _System:
 
     def correct(self, x_pred: np.ndarray, x_ref: np.ndarray, tau: np.ndarray,
                 h: float, tol: float, max_newton: int) -> tuple[np.ndarray, bool]:
-        """Damped Gauss-Newton on constraints plus the arclength row."""
-        x = x_pred.copy()
+        """Damped Gauss-Newton on constraints plus the arclength row.
+
+        The line search takes the first of the steps 1, 1/2, ..., 1/2048
+        that lowers the residual norm, else the step 1/4096.  All thirteen
+        candidates are evaluated as one stack, and the residual of the one
+        taken is carried into the next iteration.
+        """
         arc_row = tau[None, :] / self.diam
+
+        def residual(x):
+            pins = (self.pin_rows @ (x - self.x0)[..., None])[..., 0]
+            arc = dot_rows(x - x_ref, tau)[..., None] / self.diam - h
+            return np.concatenate([self.edge_residual(x), pins, arc], axis=-1)
+
+        steps = 0.5 ** np.arange(13)
+        x = x_pred.copy()
+        fv = residual(x)
         for it in range(max_newton):
-            res = self.residual(x)
-            if np.max(np.abs(res)) < tol and it > 0:
+            if np.max(np.abs(fv[:-1])) < tol and it > 0:
                 return x, True
-            fv = np.concatenate([res, [float(tau @ (x - x_ref)) / self.diam - h]])
             jac = np.vstack([self.jacobian(x), arc_row])
             dx = np.linalg.lstsq(jac, -fv, rcond=None)[0]
-            base = float(np.linalg.norm(fv))
-            lam = 1.0
-            for _ in range(12):
-                xn = x + lam * dx
-                fn = np.concatenate([self.residual(xn),
-                                     [float(tau @ (xn - x_ref)) / self.diam - h]])
-                if np.linalg.norm(fn) < base:
-                    break
-                lam *= 0.5
-            x = x + lam * dx
-        return x, bool(np.max(np.abs(self.residual(x))) < tol)
+            trial = x + steps[:, None] * dx
+            ftrial = residual(trial)
+            lower = row_norms(ftrial[:-1]) < np.linalg.norm(fv)
+            k = int(np.argmax(lower)) if lower.any() else len(steps) - 1
+            x, fv = trial[k], ftrial[k]
+        return x, bool(np.max(np.abs(fv[:-1])) < tol)
 
     def null_space(self, x: np.ndarray, rank_tol: float) -> np.ndarray:
         _, sv, vt = np.linalg.svd(self.jacobian(x))
@@ -348,19 +333,15 @@ class _System:
 
     def stress_quadric(self, lam: np.ndarray, basis: np.ndarray) -> np.ndarray:
         """Quadratic form of one self-stress restricted to a null-space basis."""
-        k = basis.shape[0]
-        m = np.zeros((k, k))
-        for row, (i, j) in enumerate(_EDGE_IDX):
-            wd = basis[:, 3 * i:3 * i + 3] - basis[:, 3 * j:3 * j + 3]
-            m += lam[row] * 2.0 * (wd @ wd.T) / self.targets2[row]
-        return m
+        wd = edge_vectors(basis.reshape(-1, 6, 3)).swapaxes(0, 1)
+        terms = (lam * 2.0)[:, None, None] * (wd @ wd.swapaxes(1, 2))
+        return (terms / self.targets2[:, None, None]).sum(axis=0)
 
     def acceleration(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Least-squares curve acceleration for the second-order predictor."""
         rhs = np.zeros(18)
-        for row, (i, j) in enumerate(_EDGE_IDX):
-            dv = v[3 * i:3 * i + 3] - v[3 * j:3 * j + 3]
-            rhs[row] = -2.0 * float(dv @ dv) / self.targets2[row]
+        dv = edge_vectors(v.reshape(6, 3))
+        rhs[:12] = -2.0 * dot_rows(dv, dv) / self.targets2
         return np.linalg.lstsq(self.jacobian(x), rhs, rcond=None)[0]
 
 
@@ -484,11 +465,12 @@ def _wrap_angle(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _make_frame(sys: _System, x: np.ndarray, arc: float, flat_tol: float) -> PathFrame:
-    r = Realization.from_flat(x)
-    p = x.reshape(6, 3)
-    lens = np.array([np.linalg.norm(p[i] - p[j]) for i, j in _EDGE_IDX])
-    dev = float(np.max(np.abs(lens - sys.target_len) / sys.target_len))
+def make_frame(r: Realization, arc: float, target_len: np.ndarray,
+               flat_tol: float) -> PathFrame:
+    """Path frame of r: dihedrals, the largest relative deviation from the
+    target edge lengths (EDGE_ORDER), and the coplanarity measure."""
+    lens = edge_length_array(r.points)
+    dev = float(np.max(np.abs(lens - target_len) / target_len))
     measure = coplanarity_measure(r)
     return PathFrame(realization=r, arclength=arc,
                      dihedrals=all_dihedrals(r), max_edge_deviation=dev,
@@ -506,7 +488,7 @@ def flex_path(r0: Realization, el: dict[str, float] | None = None,
     """
     if el is None:
         el = edge_lengths(r0, check=False)
-    report = flex_dimension(r0, el, rank_tol=drive.rank_tol)
+    report = flex_dimension(r0, rank_tol=drive.rank_tol)
     if report.flex_dimension < 1:
         raise NotFlexible(f"flex dimension {report.flex_dimension}; rank {report.rank}")
 
@@ -519,7 +501,7 @@ def flex_path(r0: Realization, el: dict[str, float] | None = None,
         "initial_step": drive.initial_step,
         "min_step_factor": drive.min_step_factor,
         "pin": list(drive.pin)})
-    frame0 = _make_frame(sys, x, 0.0, drive.flat_event_tol)
+    frame0 = make_frame(r0, 0.0, sys.target_len, drive.flat_event_tol)
     path.frames.append(frame0)
     flat_events = 0
     if frame0.flat:
@@ -601,7 +583,8 @@ def flex_path(r0: Realization, el: dict[str, float] | None = None,
         if x_best is None or m_best >= path.frames[idx].flat_measure:
             return idx
         arc_best = base.arclength + float(np.linalg.norm(x_best - x_base)) / sys.diam
-        frame = _make_frame(sys, x_best, arc_best, drive.flat_event_tol)
+        frame = make_frame(Realization.from_flat(x_best), arc_best, sys.target_len,
+                           drive.flat_event_tol)
         insert_at = idx if arc_best <= path.frames[idx].arclength else idx + 1
         path.frames.insert(insert_at, frame)
         tangents.insert(insert_at, t_base)
@@ -628,7 +611,8 @@ def flex_path(r0: Realization, el: dict[str, float] | None = None,
 
         arc += float(np.linalg.norm(x_new - x)) / sys.diam
         step_count += 1
-        frame = _make_frame(sys, x_new, arc, drive.flat_event_tol)
+        frame = make_frame(Realization.from_flat(x_new), arc, sys.target_len,
+                           drive.flat_event_tol)
         path.frames.append(frame)
 
         null = sys.null_space(x_new, drive.rank_tol)

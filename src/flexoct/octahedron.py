@@ -73,6 +73,20 @@ def _edge_direction(edge: str) -> tuple[str, str]:
 
 EDGE_DIRECTION = {e: _edge_direction(e) for e in EDGE_ORDER}
 
+# Index tables of the geometry kernel.  One row per edge in EDGE_ORDER: its
+# endpoints in EDGE_DIRECTION order, then the apexes of its first and second
+# adjacent facet.  One row per facet in FACETS: its vertices as wound.
+EDGE_TAIL, EDGE_HEAD, EDGE_APEX1, EDGE_APEX2 = np.array(
+    [[_VIDX[v] for v in EDGE_DIRECTION[e]]
+     + [_VIDX[next(v for v in f if v not in e)] for f in EDGE_FACETS[e]]
+     for e in EDGE_ORDER]).T
+FACET_VERTS = np.array([[_VIDX[v] for v in f] for f in FACETS])
+# signed edge-vertex incidence: +1 at the head, -1 at the tail of each edge
+EDGE_INCIDENCE = np.zeros((12, 6))
+EDGE_INCIDENCE[np.arange(12), EDGE_HEAD] = 1.0
+EDGE_INCIDENCE[np.arange(12), EDGE_TAIL] = -1.0
+_PAIR_I, _PAIR_J = np.triu_indices(6, 1)
+
 
 class DegenerateFacet(ValueError):
     """A facet of the realization has (near-)zero area."""
@@ -80,6 +94,82 @@ class DegenerateFacet(ValueError):
 
 class NonAdjacentEdges(ValueError):
     """The two chosen edges at a vertex do not share a facet."""
+
+
+# ---------------------------------------------------------------------------
+# geometry kernel: batched over the leading axes of (..., 6, 3) point arrays
+
+
+def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of a and b, broadcast over the leading
+    axes.  Each is one BLAS dot, so it rounds exactly as ``a_row @ b_row``
+    does and a batched result equals the one-vector result bit for bit."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of v, each equal to np.linalg.norm(row)."""
+    return np.sqrt(dot_rows(v, v))
+
+
+def edge_vectors(p: np.ndarray) -> np.ndarray:
+    """Edge vectors from tail to head, (..., 12, 3) in EDGE_ORDER."""
+    return EDGE_INCIDENCE @ p
+
+
+def edge_length_array(p: np.ndarray) -> np.ndarray:
+    """Edge lengths, (..., 12) in EDGE_ORDER."""
+    return row_norms(edge_vectors(p))
+
+
+def _dihedrals(p: np.ndarray, k) -> np.ndarray:
+    """Signed dihedrals along the edges k (an index list or a slice of
+    EDGE_ORDER); raises DegenerateFacet when one of them is undefined."""
+    edges = np.arange(len(EDGE_ORDER))[k]
+    tail = p[..., EDGE_TAIL[k], :]
+    e = p[..., EDGE_HEAD[k], :] - tail
+    nrm = row_norms(e)
+    zero = np.nonzero(nrm == 0.0)[-1]
+    if zero.size:
+        raise DegenerateFacet(f"edge {EDGE_ORDER[edges[zero[0]]]} has zero length")
+    ehat = e / nrm[..., None]
+    w1 = p[..., EDGE_APEX1[k], :] - tail
+    w1 = w1 - dot_rows(w1, ehat)[..., None] * ehat
+    w2 = p[..., EDGE_APEX2[k], :] - tail
+    w2 = w2 - dot_rows(w2, ehat)[..., None] * ehat
+    flat = np.nonzero((row_norms(w1) == 0.0) | (row_norms(w2) == 0.0))[-1]
+    if flat.size:
+        raise DegenerateFacet(
+            f"facet adjacent to {EDGE_ORDER[edges[flat[0]]]} is degenerate")
+    return np.arctan2(dot_rows(np.cross(w1, w2), ehat), dot_rows(w1, w2))
+
+
+def dihedral_array(p: np.ndarray) -> np.ndarray:
+    """All twelve signed dihedrals, (..., 12) in EDGE_ORDER; see dihedral_angle."""
+    return _dihedrals(p, slice(None))
+
+
+def facet_normals(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals by the facet winding, (..., 8, 3), and areas, (..., 8),
+    in FACETS order.  A facet of zero area has a nan normal."""
+    q = p[..., FACET_VERTS, :]
+    n = np.cross(q[..., 1, :] - q[..., 0, :], q[..., 2, :] - q[..., 0, :])
+    nn = row_norms(n)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return n / nn[..., None], 0.5 * nn
+
+
+def face_angle(p: np.ndarray, v, x, y) -> np.ndarray:
+    """Angle at vertex v between the rays to vertices x and y; the vertex
+    indices broadcast against each other."""
+    ux = p[..., x, :] - p[..., v, :]
+    uy = p[..., y, :] - p[..., v, :]
+    c = dot_rows(ux, uy) / (row_norms(ux) * row_norms(uy))
+    return np.arccos(np.clip(c, -1.0, 1.0))
+
+
+def _vertex_indices(labels) -> np.ndarray:
+    return np.array([_VIDX[v] for v in labels])
 
 
 @dataclass(frozen=True)
@@ -114,42 +204,32 @@ class Realization:
 
     def diameter(self) -> float:
         p = self.points
-        return float(max(np.linalg.norm(p[i] - p[j])
-                         for i in range(6) for j in range(i + 1, 6)))
-
-
-def facet_points(r: Realization, facet) -> np.ndarray:
-    name = facet if isinstance(facet, str) else "".join(facet)
-    return np.array([r[v] for v in name])
-
-
-def facet_area(r: Realization, facet) -> float:
-    p = facet_points(r, facet)
-    return 0.5 * float(np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0])))
+        return float(np.max(row_norms(p[_PAIR_I] - p[_PAIR_J])))
 
 
 def facet_normal(r: Realization, facet) -> np.ndarray:
     """Unit normal by the winding of the facet as listed."""
-    p = facet_points(r, facet)
-    n = np.cross(p[1] - p[0], p[2] - p[0])
-    nn = np.linalg.norm(n)
-    if nn == 0.0:
-        raise DegenerateFacet(f"facet {facet} has zero area")
-    return n / nn
+    name = facet if isinstance(facet, str) else "".join(facet)
+    if name not in FACET_NAMES:
+        raise ValueError(f"{name} is not a facet as listed")
+    k = FACET_NAMES.index(name)
+    normals, areas = facet_normals(r.points)
+    if areas[k] == 0.0:
+        raise DegenerateFacet(f"facet {name} has zero area")
+    return normals[k]
 
 
 def check_facets(r: Realization, tol: float = 1e-12) -> None:
-    d2 = r.diameter() ** 2
-    for name in FACET_NAMES:
-        if facet_area(r, name) <= tol * d2:
-            raise DegenerateFacet(f"facet {name} is degenerate")
+    bad = np.nonzero(facet_normals(r.points)[1] <= tol * r.diameter() ** 2)[0]
+    if bad.size:
+        raise DegenerateFacet(f"facet {FACET_NAMES[bad[0]]} is degenerate")
 
 
 def edge_lengths(r: Realization, check: bool = True) -> dict[str, float]:
     """Euclidean lengths of the 12 edges, keyed by canonical edge name."""
     if check:
         check_facets(r)
-    return {e: float(np.linalg.norm(r[e[0]] - r[e[1]])) for e in EDGE_ORDER}
+    return dict(zip(EDGE_ORDER, map(float, edge_length_array(r.points))))
 
 
 def dihedral_angle(r: Realization, edge: str) -> float:
@@ -159,27 +239,12 @@ def dihedral_angle(r: Realization, edge: str) -> float:
     folded together, pi = opened flat); the sign is right-handed about the
     shared-edge direction induced by the first-listed adjacent facet.
     """
-    e = canonical_edge(edge[0], edge[1])
-    f1, f2 = EDGE_FACETS[e]
-    tail, head = EDGE_DIRECTION[e]
-    ehat = r[head] - r[tail]
-    nrm = np.linalg.norm(ehat)
-    if nrm == 0.0:
-        raise DegenerateFacet(f"edge {e} has zero length")
-    ehat = ehat / nrm
-    apex1 = next(v for v in f1 if v not in e)
-    apex2 = next(v for v in f2 if v not in e)
-    w1 = r[apex1] - r[tail]
-    w1 = w1 - (w1 @ ehat) * ehat
-    w2 = r[apex2] - r[tail]
-    w2 = w2 - (w2 @ ehat) * ehat
-    if np.linalg.norm(w1) == 0.0 or np.linalg.norm(w2) == 0.0:
-        raise DegenerateFacet(f"facet adjacent to {e} is degenerate")
-    return float(math.atan2(np.cross(w1, w2) @ ehat, w1 @ w2))
+    k = EDGE_ORDER.index(canonical_edge(edge[0], edge[1]))
+    return float(_dihedrals(r.points, [k])[0])
 
 
 def all_dihedrals(r: Realization) -> dict[str, float]:
-    return {e: dihedral_angle(r, e) for e in EDGE_ORDER}
+    return dict(zip(EDGE_ORDER, map(float, dihedral_array(r.points))))
 
 
 def _vertex_cycle_from_pair(v: str, pair: tuple[str, str]) -> tuple[str, str, str, str]:
@@ -207,15 +272,10 @@ def vertex_face_angles(r: Realization, v: str, pair: tuple[str, str]) -> FaceAng
     first, delta the second, gamma lies opposite alpha.
     """
     p, m, n, q = _vertex_cycle_from_pair(v, pair)
-    o = r[v]
-
-    def a(x, y):
-        ux = r[x] - o
-        uy = r[y] - o
-        c = (ux @ uy) / (np.linalg.norm(ux) * np.linalg.norm(uy))
-        return math.acos(min(1.0, max(-1.0, float(c))))
-
-    return FaceAngles(alpha=a(p, q), beta=a(p, m), gamma=a(m, n), delta=a(n, q))
+    # alpha, beta, gamma, delta span (p, q), (p, m), (m, n), (n, q)
+    angles = face_angle(r.points, _VIDX[v], _vertex_indices((p, p, m, n)),
+                        _vertex_indices((q, m, n, q)))
+    return FaceAngles(*map(float, angles))
 
 
 def vertex_half_tangents(r: Realization, v: str, pair: tuple[str, str]) -> tuple[float, float]:
@@ -262,15 +322,9 @@ def opposite_pair_cosines(r: Realization, v: str,
         raise NonAdjacentEdges(f"edges {v}{p} and {v}{s} are not opposite at {v}")
     i = cyc.index(p)
     q, w = cyc[(i + 1) % 4], cyc[(i + 3) % 4]  # cycle p, q, s, w
-    o = r[v]
-
-    def a(x, y):
-        ux = r[x] - o
-        uy = r[y] - o
-        c = (ux @ uy) / (np.linalg.norm(ux) * np.linalg.norm(uy))
-        return math.acos(min(1.0, max(-1.0, float(c))))
-
-    angles = FaceAngles(alpha=a(w, p), beta=a(p, q), gamma=a(q, s), delta=a(s, w))
+    # alpha, beta, gamma, delta span (w, p), (p, q), (q, s), (s, w)
+    angles = FaceAngles(*map(float, face_angle(
+        r.points, _VIDX[v], _vertex_indices((w, p, q, s)), _vertex_indices((p, q, s, w)))))
     cos_phi = math.cos(dihedral_angle(r, canonical_edge(v, p)))
     cos_theta = math.cos(dihedral_angle(r, canonical_edge(v, s)))
     return angles, cos_phi, cos_theta

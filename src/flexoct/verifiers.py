@@ -10,15 +10,15 @@ compared against its closed form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linkage import OppositeDihedralLine, opposite_dihedral_line
-from .octahedron import (EDGE_FACETS, OPPOSITE_EDGES, VERTEX_CYCLES,
-                         Realization, canonical_edge, facet_normal,
-                         opposite_pair_cosines)
+from .octahedron import (EDGE_FACETS, EDGE_ORDER, FACET_NAMES, FACET_VERTS,
+                         OPPOSITE_EDGES, VERTEX_CYCLES, VERTICES, DegenerateFacet,
+                         Realization, canonical_edge, edge_length_array, face_angle,
+                         facet_normals, opposite_pair_cosines)
 from .flexion import FlexionPath
 
 HEXAGONS = ("ABCDEF", "ABFDEC", "AECDBF", "AEFDBC")
@@ -59,39 +59,31 @@ def mannheim_point(r: Realization, base: str = "ABC",
     """
     if base not in _OPPOSITE_FACET:
         raise ValueError(f"unknown facet {base!r}")
-    sides = [canonical_edge(base[i], base[(i + 1) % 3]) for i in range(3)]
-    normals = []
-    offsets = []
-    for e in sides:
-        facet = next(f for f in EDGE_FACETS[e] if f != base)
-        n = facet_normal(r, facet)
-        normals.append(n)
-        offsets.append(float(n @ r[facet[0]]))
-    a = np.array(normals)
-    b = np.array(offsets)
+    # the facets across the three sides of base, then the opposite facet
+    facets = [next(f for f in EDGE_FACETS[canonical_edge(base[i], base[(i + 1) % 3])]
+                   if f != base) for i in range(3)] + [_OPPOSITE_FACET[base]]
+    k = [FACET_NAMES.index(f) for f in facets]
+    normals, areas = facet_normals(r.points)
+    if np.any(areas[k] == 0.0):
+        raise DegenerateFacet(f"a facet among {facets} has zero area")
+    planes = normals[k]
+    offsets = np.einsum("ij,ij->i", planes, r.points[FACET_VERTS[k, 0]])
+    a, b = planes[:3], offsets[:3]
     sv = np.linalg.svd(a, compute_uv=False)
     if sv[-1] < cond_tol * sv[0]:
         raise NearParallelPlanes(f"plane normal conditioning {sv[-1]/sv[0]:.2e}")
     point = np.linalg.solve(a, b)
 
+    # distance from the point to the meet line of planes i and i + 1, from
+    # their residuals s and the Gram matrix G = [[1, c], [c, 1]] of their
+    # normals: sqrt(s^T G^-1 s)
+    s = a @ point - b
+    sj = np.roll(s, -1)
+    c = np.einsum("ij,ij->i", a, np.roll(a, -1, axis=0))
+    dist = np.sqrt(((s - c * sj) ** 2 + (1.0 - c * c) * sj ** 2) / (1.0 - c * c))
     diam = r.diameter()
-    spread = 0.0
-    for i in range(3):
-        j = (i + 1) % 3
-        d = np.cross(a[i], a[j])
-        dn = np.linalg.norm(d)
-        if dn == 0.0:
-            continue
-        # a point on the intersection line of planes i and j
-        m = np.array([a[i], a[j]])
-        p0, *_ = np.linalg.lstsq(m, np.array([b[i], b[j]]), rcond=None)
-        v = point - p0
-        dist = np.linalg.norm(v - (v @ (d / dn)) * (d / dn))
-        spread = max(spread, float(dist) / diam)
-
-    opp = _OPPOSITE_FACET[base]
-    n_opp = facet_normal(r, opp)
-    residual = abs(float(n_opp @ point) - float(n_opp @ r[opp[0]])) / diam
+    spread = float(np.max(dist)) / diam
+    residual = abs(float(planes[3] @ point) - float(offsets[3])) / diam
     return ConcurrencyResult(base=base, point=point, spread=spread, residual=residual)
 
 
@@ -155,34 +147,15 @@ def hexagon_traces(path: FlexionPath) -> list[HexagonTrace]:
     """
     if not path.frames:
         raise InsufficientFrames("empty path")
-    out = []
-    for hexagon in HEXAGONS:
-        sides = hexagon_sides(hexagon)
-        side_var = 0.0
-        ref_len = None
-        angle_ref = None
-        angle_var = 0.0
-        for f in path.frames:
-            r = f.realization
-            lens = np.array([np.linalg.norm(r[e[0]] - r[e[1]]) for e in sides])
-            if ref_len is None:
-                ref_len = lens
-            side_var = max(side_var, float(np.max(np.abs(lens - ref_len) / ref_len)))
-            angles = []
-            for i in range(6):
-                prev_v = hexagon[(i - 1) % 6]
-                v = hexagon[i]
-                nxt = hexagon[(i + 1) % 6]
-                u1 = r[prev_v] - r[v]
-                u2 = r[nxt] - r[v]
-                c = float(u1 @ u2 / (np.linalg.norm(u1) * np.linalg.norm(u2)))
-                angles.append(math.acos(min(1.0, max(-1.0, c))))
-            angles = np.array(angles)
-            if angle_ref is None:
-                angle_ref = angles
-            angle_var = max(angle_var, float(np.max(np.abs(angles - angle_ref))))
-        out.append(HexagonTrace(hexagon, sides, side_var, angle_var))
-    return out
+    pts = np.stack([f.realization.points for f in path.frames])
+    sides = [[EDGE_ORDER.index(e) for e in hexagon_sides(h)] for h in HEXAGONS]
+    lens = edge_length_array(pts)[:, sides]
+    hexes = np.array([[VERTICES.index(v) for v in h] for h in HEXAGONS])
+    angles = face_angle(pts, hexes, np.roll(hexes, 1, axis=1), np.roll(hexes, -1, axis=1))
+    side_var = np.max(np.abs(lens - lens[0]) / lens[0], axis=(0, 2))
+    angle_var = np.max(np.abs(angles - angles[0]), axis=(0, 2))
+    return [HexagonTrace(h, hexagon_sides(h), float(sv), float(av))
+            for h, sv, av in zip(HEXAGONS, side_var, angle_var)]
 
 
 @dataclass(frozen=True)

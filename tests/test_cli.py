@@ -11,7 +11,8 @@ from flexoct.builders import build_type1
 from flexoct.cli import (JobSpec, ParseError, ValidationError, export_frames,
                          load_spec, read_obj, write_obj)
 from flexoct.flexion import DriveSpec, FlexionPath, flex_path
-from flexoct.octahedron import EDGE_ORDER, edge_lengths, regular_octahedron
+from flexoct.octahedron import (EDGE_ORDER, Realization, edge_lengths,
+                                regular_octahedron)
 
 EXAMPLE_T1 = {"A": [1, 0, 0.5], "B": [0.1, 1, -0.4], "F": [0.7, -0.8, 0.1]}
 
@@ -156,6 +157,23 @@ class TestRun:
                    for t in report["opposite_dihedrals"])
         assert report["mannheim_residuals"]["ABC"]["max"] <= 1e-6
 
+    def test_verify_frames_dir_measures_edge_deviation(self, tmp_path):
+        r = build_type1(EXAMPLE_T1["A"], EXAMPLE_T1["B"], EXAMPLE_T1["F"])
+        export_frames(flex_path(r, drive=DriveSpec(max_steps=4)), tmp_path / "frames")
+        nudged = tmp_path / "frames" / "frame_0002.obj"
+        moved = read_obj(nudged).points.copy()
+        moved[3, 0] += 1e-6  # vertex D
+        write_obj(Realization(moved), nudged)
+        spec = write_spec(tmp_path, {"command": "verify",
+                                     "frames_dir": str(tmp_path / "frames")})
+        code = cli.main(["verify", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert code == 0
+        rows = (tmp_path / "o" / "path.csv").read_text().splitlines()[1:]
+        dev = [float(row.split(",")[-2]) for row in rows]
+        assert len(dev) == 5
+        assert dev[2] > 1e-8
+        assert max(dev[:2] + dev[3:]) <= 1e-12
+
     def test_invalid_spec_exits_1(self, tmp_path):
         spec = write_spec(tmp_path, {"command": "fourbar", "sides": [1, 1, 1]})
         assert cli.main(["fourbar", "--spec", str(spec),
@@ -181,8 +199,7 @@ class TestRun:
         spec = write_spec(tmp_path, [
             {"command": "fourbar", "sides": [1, 1, 1, 1]},
             {"command": "fourbar", "sides": [1, 2, 1.5, 1]}])
-        code = cli.main(["fourbar", "--spec", str(spec),
-                         "--out", str(tmp_path / "o"), "--jobs", "2"])
+        code = cli.main(["fourbar", "--spec", str(spec), "--out", str(tmp_path / "o")])
         assert code == 0
         assert (tmp_path / "o" / "case_000" / "summary.json").exists()
         assert (tmp_path / "o" / "case_001" / "summary.json").exists()

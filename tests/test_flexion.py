@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from flexoct.builders import build_type1, build_type1_mirror, build_type2, build_type3_flat
-from flexoct.flexion import (DriveSpec, NotFlexible, detect_flat, facet_crossings,
-                             flex_dimension, flex_path, rigidity_matrix)
-from flexoct.octahedron import (EDGE_ORDER, Realization, edge_lengths,
-                                regular_octahedron)
+from flexoct.flexion import (DriveSpec, NotFlexible, facet_crossings, flex_dimension,
+                             flex_path, rigidity_matrix)
+from flexoct.octahedron import (EDGE_ORDER, Realization, coplanarity_measure,
+                                edge_lengths, regular_octahedron)
 
 EXAMPLE_T1 = ((1, 0, 0.5), (0.1, 1, -0.4), (0.7, -0.8, 0.1))
 
@@ -61,20 +61,22 @@ class TestFlexDimension:
 
 
 class TestDetectFlat:
+    """Flat detection: the coplanarity measure against the 1e-8 threshold."""
+
     def test_planar_configuration(self, rng):
         pts = np.zeros((6, 3))
         pts[:, :2] = rng.uniform(-1, 1, (6, 2))
-        measure, flat = detect_flat(Realization(pts))
-        assert flat and measure <= 1e-12
+        measure = coplanarity_measure(Realization(pts))
+        assert measure <= 1e-12
 
     def test_regular_value(self):
-        measure, flat = detect_flat(regular_octahedron())
-        assert not flat
+        measure = coplanarity_measure(regular_octahedron())
+        assert measure > 1e-8
         assert measure == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
 
     def test_builder_flat(self):
         _, r = build_type3_flat((0, 0), (4, 0), (1, 2.5), (5 / 3, 2.5 / 3))
-        assert detect_flat(r)[1]
+        assert coplanarity_measure(r) <= 1e-8
 
 
 class TestFlexPath:

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from flexoct import builders, linkage
-from flexoct.octahedron import (EDGE_ORDER, FACET_NAMES, OPPOSITE_EDGES,
-                                VERTEX_CYCLES, VERTICES, DegenerateFacet,
-                                NonAdjacentEdges, Realization, all_dihedrals,
-                                canonical_edge, classify_edge_lengths,
-                                coplanarity_measure, dihedral_angle, edge_lengths,
+from flexoct.octahedron import (EDGE_DIRECTION, EDGE_FACETS, EDGE_ORDER, FACET_NAMES,
+                                OPPOSITE_EDGES, VERTEX_CYCLES, VERTICES,
+                                DegenerateFacet, NonAdjacentEdges, Realization,
+                                all_dihedrals, canonical_edge, check_facets,
+                                classify_edge_lengths, coplanarity_measure,
+                                dihedral_angle, dihedral_array, dot_rows,
+                                edge_length_array, edge_lengths, face_angle,
+                                facet_normal, facet_normals, row_norms,
                                 flat_angle_product, reflection_pairing_residual,
                                 regular_octahedron, validate, vertex_face_angles,
                                 vertex_half_tangents)
@@ -113,6 +116,108 @@ class TestDihedral:
                 continue
             perturbed = Realization(r.points + 1e-8 * rng.normal(size=(6, 3)))
             assert abs(dihedral_angle(perturbed, e) - d0) < 1e-6
+
+
+def scalar_dihedral(r, e):
+    """Reference formula, one edge at a time."""
+    tail, head = (r[v] for v in EDGE_DIRECTION[e])
+    ehat = (head - tail) / math.dist(head, tail)
+    w1, w2 = (r[next(v for v in f if v not in e)] - tail for f in EDGE_FACETS[e])
+    w1 = w1 - float(w1 @ ehat) * ehat
+    w2 = w2 - float(w2 @ ehat) * ehat
+    return math.atan2(float(np.cross(w1, w2) @ ehat), float(w1 @ w2))
+
+
+def scalar_face_angle(r, v, x, y):
+    ux, uy = r[x] - r[v], r[y] - r[v]
+    return math.acos(float(ux @ uy) / (math.hypot(*ux) * math.hypot(*uy)))
+
+
+class TestKernel:
+    """The batched kernel against scalar reference formulas."""
+
+    def check_frame(self, r, dihedrals, normals, areas, lengths, angles):
+        for k, e in enumerate(EDGE_ORDER):
+            assert abs(dihedrals[k] - scalar_dihedral(r, e)) <= 1e-14
+            assert abs(lengths[k] - math.dist(r[e[0]], r[e[1]])) <= 1e-14
+        for k, f in enumerate(FACET_NAMES):
+            n = np.cross(r[f[1]] - r[f[0]], r[f[2]] - r[f[0]])
+            assert abs(areas[k] - 0.5 * math.hypot(*n)) <= 1e-14
+            assert np.max(np.abs(normals[k] - n / math.hypot(*n))) <= 1e-14
+        for i, v in enumerate(VERTICES):
+            cyc = VERTEX_CYCLES[v]
+            for j in range(4):
+                want = scalar_face_angle(r, v, cyc[j], cyc[(j + 1) % 4])
+                assert abs(angles[i, j] - want) <= 1e-14
+
+    def face_angles(self, p):
+        """Angles (..., 6, 4) at each vertex between consecutive cycle neighbors."""
+        cyc = np.array([[VERTICES.index(u) for u in VERTEX_CYCLES[v]] for v in VERTICES])
+        return face_angle(p, np.arange(6)[:, None], cyc, np.roll(cyc, -1, axis=1))
+
+    def test_single_realizations(self, rng):
+        from conftest import random_generic_realization
+        for _ in range(20):
+            r = random_generic_realization(rng)
+            normals, areas = facet_normals(r.points)
+            self.check_frame(r, dihedral_array(r.points), normals, areas,
+                             edge_length_array(r.points), self.face_angles(r.points))
+            d = all_dihedrals(r)
+            assert [d[e] for e in EDGE_ORDER] == [dihedral_angle(r, e) for e in EDGE_ORDER]
+            assert list(edge_lengths(r).values()) == list(edge_length_array(r.points))
+            for k, f in enumerate(FACET_NAMES):
+                assert np.array_equal(facet_normal(r, f), normals[k])
+
+    def test_stack(self, rng):
+        from conftest import random_generic_realization
+        stack = np.stack([random_generic_realization(rng).points for _ in range(7)])
+        dihedrals = dihedral_array(stack)
+        normals, areas = facet_normals(stack)
+        lengths = edge_length_array(stack)
+        angles = self.face_angles(stack)
+        assert dihedrals.shape == lengths.shape == (7, 12)
+        assert normals.shape == (7, 8, 3) and areas.shape == (7, 8)
+        assert angles.shape == (7, 6, 4)
+        for f, p in enumerate(stack):
+            self.check_frame(Realization(p), dihedrals[f], normals[f], areas[f],
+                             lengths[f], angles[f])
+
+    def test_row_dots_round_as_vector_dots(self, rng):
+        a = rng.normal(size=(50, 19))
+        b = rng.normal(size=19)
+        assert np.array_equal(dot_rows(a, b), [row @ b for row in a])
+        assert np.array_equal(row_norms(a), [np.linalg.norm(row) for row in a])
+        stack = rng.normal(size=(4, 6, 3))
+        want = [[np.linalg.norm(Realization(p)[e[0]] - Realization(p)[e[1]]) for e in EDGE_ORDER]
+                for p in stack]
+        assert np.array_equal(edge_length_array(stack), want)
+
+    def test_zero_length_edge(self):
+        pts = regular_octahedron().points.copy()
+        pts[1] = pts[0]  # B on A
+        r = Realization(pts)
+        with pytest.raises(DegenerateFacet, match="edge AB has zero length"):
+            dihedral_angle(r, "AB")
+        with pytest.raises(DegenerateFacet):
+            all_dihedrals(r)
+        with pytest.raises(DegenerateFacet):
+            dihedral_array(np.stack([regular_octahedron().points, pts]))
+        # an edge clear of the collapse keeps its dihedral
+        assert abs(dihedral_angle(r, "EF")) == pytest.approx(math.acos(-1.0 / 3.0))
+
+    def test_collinear_facet(self):
+        pts = np.array([[0, 0, 0], [2, 0, 0], [1, 0, 0],
+                        [1, 1, 1], [0.5, -1, 0.5], [1.5, 0.5, -1]], dtype=float)
+        r = Realization(pts)  # C on the segment AB
+        with pytest.raises(DegenerateFacet, match="facet adjacent to AB"):
+            dihedral_angle(r, "AB")
+        with pytest.raises(DegenerateFacet):
+            all_dihedrals(r)
+        with pytest.raises(DegenerateFacet, match="ABC"):
+            facet_normal(r, "ABC")
+        with pytest.raises(DegenerateFacet, match="ABC"):
+            check_facets(r)
+        assert math.isfinite(dihedral_angle(r, "EF"))
 
 
 class TestVertexFaceAngles:
