@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -72,12 +73,76 @@ class JobSpec:
     warnings: list = dataclasses.field(default_factory=list)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_positive(v) -> bool:
+    """A finite positive number."""
+    return _is_number(v) and math.isfinite(v) and v > 0
+
+
 def _require_vec(obj, field: str, n: int) -> list[float]:
-    if (not isinstance(obj, (list, tuple)) or len(obj) != n
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in obj)):
+    if not isinstance(obj, (list, tuple)) or len(obj) != n or not all(map(_is_number, obj)):
         raise ValidationError(field, f"expected a list of {n} numbers")
     return [float(v) for v in obj]
+
+
+_DRIVE_COUNTS = ("max_steps", "max_newton")
+_DRIVE_SCALES = ("initial_step", "max_step", "min_step_factor", "corrector_tol",
+                 "rank_tol", "flat_event_tol")
+_DRIVE_FLAGS = ("refine_flat_events", "track_facet_crossings")
+
+
+def _validate_drive(raw) -> dict:
+    """DriveSpec keyword arguments from a drive object, each field checked
+    against its type and range."""
+    if not isinstance(raw, dict):
+        raise ValidationError("drive", "expected an object")
+    known = {f.name for f in dataclasses.fields(flexion.DriveSpec)}
+    unknown = set(raw) - known
+    if unknown:
+        raise ValidationError("drive", f"unknown keys {sorted(unknown)}")
+    drive = dict(raw)
+    for name in _DRIVE_COUNTS:
+        if name in drive and not (_is_int(drive[name]) and drive[name] > 0):
+            raise ValidationError(f"drive.{name}", "must be a positive integer")
+    for name in _DRIVE_SCALES:
+        if name in drive:
+            if not _is_positive(drive[name]):
+                raise ValidationError(f"drive.{name}", "must be a finite positive number")
+            drive[name] = float(drive[name])
+    for name in _DRIVE_FLAGS:
+        if name in drive and not isinstance(drive[name], bool):
+            raise ValidationError(f"drive.{name}", "must be true or false")
+    if "direction" in drive and not (_is_int(drive["direction"])
+                                     and drive["direction"] in (1, -1)):
+        raise ValidationError("drive.direction", "must be 1 or -1")
+    if "stop_after_flat_events" in drive and not (
+            drive["stop_after_flat_events"] is None
+            or _is_int(drive["stop_after_flat_events"])):
+        raise ValidationError("drive.stop_after_flat_events", "must be an integer or null")
+    if "edge" in drive:
+        edge = drive["edge"]
+        if (not isinstance(edge, str) or len(edge) != 2
+                or frozenset(edge) not in {frozenset(e) for e in EDGE_ORDER}):
+            raise ValidationError("drive.edge", "expected an edge name such as 'BC'")
+    if "dihedral_range" in drive:
+        rng = _require_vec(drive["dihedral_range"], "drive.dihedral_range", 2)
+        if not all(math.isfinite(v) for v in rng):
+            raise ValidationError("drive.dihedral_range", "must be finite")
+        drive["dihedral_range"] = tuple(rng)
+    if "pin" in drive:
+        pin = drive["pin"]
+        if (not isinstance(pin, (list, tuple)) or len(pin) != 3
+                or any(v not in VERTICES for v in pin)):
+            raise ValidationError("drive.pin", "expected three vertex labels")
+        drive["pin"] = tuple(pin)
+    return drive
 
 
 def _validate_points(obj, field: str, labels: tuple[str, ...], dim: int = 3) -> dict:
@@ -134,8 +199,9 @@ def _validate_payload(command: str, raw: dict) -> tuple[dict, list[str]]:
                                       f"expected exactly the keys {list(EDGE_ORDER)}")
             vals = {}
             for k, v in lengths.items():
-                if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
-                    raise ValidationError(f"edge_lengths.{k}", "must be a positive number")
+                if not _is_positive(v):
+                    raise ValidationError(f"edge_lengths.{k}",
+                                          "must be a finite positive number")
                 vals[k] = float(v)
             payload["edge_lengths"] = vals
         elif command == "classify":
@@ -165,25 +231,7 @@ def _validate_payload(command: str, raw: dict) -> tuple[dict, list[str]]:
         payload["source"] = _job_from_dict(src)
 
     if command in ("flex", "verify"):
-        drive = raw.get("drive", {})
-        if not isinstance(drive, dict):
-            raise ValidationError("drive", "expected an object")
-        known = {f.name for f in dataclasses.fields(flexion.DriveSpec)}
-        unknown = set(drive) - known
-        if unknown:
-            raise ValidationError("drive", f"unknown keys {sorted(unknown)}")
-        if "dihedral_range" in drive:
-            drive["dihedral_range"] = tuple(_require_vec(
-                drive["dihedral_range"], "drive.dihedral_range", 2))
-        if "pin" in drive:
-            pin = drive["pin"]
-            if (not isinstance(pin, (list, tuple)) or len(pin) != 3
-                    or any(v not in VERTICES for v in pin)):
-                raise ValidationError("drive.pin", "expected three vertex labels")
-            drive["pin"] = tuple(pin)
-        if "stop_after_flat_events" in drive and drive["stop_after_flat_events"] is not None:
-            drive["stop_after_flat_events"] = int(drive["stop_after_flat_events"])
-        payload["drive"] = drive
+        payload["drive"] = _validate_drive(raw.get("drive", {}))
     return payload, warns
 
 
@@ -203,6 +251,9 @@ def _job_from_dict(raw: dict) -> JobSpec:
     bad = set(tolerances) - known_tols
     if bad:
         raise ValidationError("tolerances", f"unknown keys {sorted(bad)}")
+    for k, v in tolerances.items():
+        if not _is_positive(v):
+            raise ValidationError(f"tolerances.{k}", "must be a finite positive number")
     payload, warns = _validate_payload(command, raw)
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
@@ -379,7 +430,7 @@ def _drive_from_payload(job: JobSpec, overrides) -> flexion.DriveSpec:
         kw.setdefault("rank_tol", job.tolerances["rank"])
     if "flat" in job.tolerances:
         kw.setdefault("flat_event_tol", job.tolerances["flat"])
-    return flexion.DriveSpec(**kw)
+    return flexion.DriveSpec(**_validate_drive(kw))
 
 
 def _verify_report(path_obj: flexion.FlexionPath) -> dict:
@@ -471,6 +522,8 @@ def run(job: JobSpec, out_dir=None, overrides=None) -> int:
                 path_obj = flexion.flex_path(r, el, drive)
             summary["frames"] = len(path_obj.frames)
             summary["termination"] = path_obj.termination
+            if "corrector" in path_obj.meta:
+                summary["corrector"] = path_obj.meta["corrector"]
             summary["events"] = [dataclasses.asdict(ev) for ev in path_obj.events]
             summary["files"] = export_frames(path_obj, out)
             if job.command == "verify":
@@ -488,6 +541,7 @@ def run(job: JobSpec, out_dir=None, overrides=None) -> int:
         partial = getattr(exc, "partial", None)
         if partial is not None:
             summary["frames"] = len(partial.frames)
+            summary["corrector"] = partial.meta["corrector"]
             summary["files"] = export_frames(partial, out)
         _write_summary(out, summary)
         return 2
@@ -517,6 +571,9 @@ def main(argv=None) -> int:
         spec = load_spec(args.spec)
     except (ParseError, ValidationError, IoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        _write_summary(Path(args.out or "flexoct_out"), {
+            "command": args.command, "status": "error",
+            "error": {"type": type(exc).__name__, "message": str(exc)}})
         return 1
 
     if isinstance(spec, list):

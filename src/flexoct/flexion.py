@@ -4,10 +4,12 @@ The rigidity matrix stacks the gradients of the twelve squared edge-length
 constraints; its co-rank beyond the six rigid-body motions counts the
 independent infinitesimal flexes.  Finite flexion is traced by arc-length
 predictor-corrector continuation: the predictor steps along the unit null
-vector of the pinned constraint Jacobian, the corrector is a damped
-Gauss-Newton iteration on the edge constraints plus six frame-pinning
-constraints (one vertex fixed, a second on a fixed line through it, a
-third in a fixed plane).
+vector of the pinned constraint Jacobian, the corrector solves the edge
+constraints plus six frame-pinning constraints (one vertex fixed, a second
+on a fixed line through it, a third in a fixed plane).  The corrector is a
+chord iteration with the pseudo-inverse taken from the null-space SVD of
+the last accepted point, restarted as damped Gauss-Newton when it stops
+converging.
 
 Flat (coplanar) configurations are first-order degenerate: every
 out-of-plane displacement is an infinitesimal flex.  Paths starting flat
@@ -280,6 +282,9 @@ class _System:
         rows[3, i1], rows[4, i1], rows[5, i2] = e2, n, n
         rows[3:, i0] = -np.array([e2, n, n])
         self.pin_rows = rows.reshape(6, 18) / self.diam
+        # corrector effort: calls finished by the chord and by Gauss-Newton,
+        # and residual evaluations (a line-search stack counts once)
+        self.counts = {"chord_steps": 0, "gauss_newton_steps": 0, "residual_evals": 0}
 
     def edge_residual(self, x: np.ndarray) -> np.ndarray:
         """Relative squared-length errors, (..., 12), for coordinates (..., 18)."""
@@ -291,21 +296,47 @@ class _System:
         return np.vstack([rows, self.pin_rows])
 
     def correct(self, x_pred: np.ndarray, x_ref: np.ndarray, tau: np.ndarray,
-                h: float, tol: float, max_newton: int) -> tuple[np.ndarray, bool]:
-        """Damped Gauss-Newton on constraints plus the arclength row.
+                h: float, tol: float, max_newton: int,
+                chord: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+        """Chord iteration, else damped Gauss-Newton, on the constraints plus
+        the arclength row.
 
-        The line search takes the first of the steps 1, 1/2, ..., 1/2048
-        that lowers the residual norm, else the step 1/4096.  All thirteen
-        candidates are evaluated as one stack, and the residual of the one
-        taken is carried into the next iteration.
+        With ``chord``, a fixed 18 x 19 inverse of the corrector matrix, the
+        iteration x <- x - chord @ f(x) runs while every iteration at least
+        halves |f|.  After the first iterate that meets tol it takes one more
+        and keeps it if it lowers |f|.  On the first iteration that does not
+        halve |f|, damped Gauss-Newton restarts from x_pred, so a step the
+        chord fails ends exactly as a step without it.
+
+        The Gauss-Newton line search takes the first of the steps 1, 1/2, ...,
+        1/2048 that lowers the residual norm, else the step 1/4096.  All
+        thirteen candidates are evaluated as one stack, and the residual of
+        the one taken is carried into the next iteration.
         """
         arc_row = tau[None, :] / self.diam
 
         def residual(x):
+            self.counts["residual_evals"] += 1
             pins = (self.pin_rows @ (x - self.x0)[..., None])[..., 0]
             arc = dot_rows(x - x_ref, tau)[..., None] / self.diam - h
             return np.concatenate([self.edge_residual(x), pins, arc], axis=-1)
 
+        if chord is not None:
+            x, fv = x_pred, residual(x_pred)
+            sq, met = fv @ fv, False
+            for _ in range(max_newton):
+                x_new = x - chord @ fv
+                f_new = residual(x_new)
+                sq_new = f_new @ f_new
+                if met or not sq_new <= 0.25 * sq:  # |f| at least halves
+                    break
+                x, fv, sq = x_new, f_new, sq_new
+                met = np.max(np.abs(fv[:-1])) < tol
+            if met:
+                self.counts["chord_steps"] += 1
+                return (x_new if sq_new < sq else x), True
+
+        self.counts["gauss_newton_steps"] += 1
         steps = 0.5 ** np.arange(13)
         x = x_pred.copy()
         fv = residual(x)
@@ -321,11 +352,16 @@ class _System:
             x, fv = trial[k], ftrial[k]
         return x, bool(np.max(np.abs(fv[:-1])) < tol)
 
-    def null_space(self, x: np.ndarray, rank_tol: float) -> np.ndarray:
-        _, sv, vt = np.linalg.svd(self.jacobian(x))
-        if sv[0] == 0.0:
-            return vt
-        return vt[sv < rank_tol * sv[0]]
+    def null_space(self, x: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """Null-space basis (rows) of the pinned Jacobian J at x, and the
+        pseudo-inverse V_r S_r^-1 U_r^T of J's range part from the same SVD.
+
+        With a one-row basis tau, [range part | tau * diam] is the
+        pseudo-inverse of the corrector matrix [J; tau / diam] at x.
+        """
+        u, sv, vt = np.linalg.svd(self.jacobian(x))
+        null = sv < rank_tol * sv[0] if sv[0] != 0.0 else np.ones(len(sv), bool)
+        return vt[null], (vt[~null].T / sv[~null]) @ u[:, ~null].T
 
     def left_null(self, x: np.ndarray, rank_tol: float) -> np.ndarray:
         u, sv, _ = np.linalg.svd(self.jacobian(x))
@@ -500,7 +536,8 @@ def flex_path(r0: Realization, el: dict[str, float] | None = None,
         "rank_tol": drive.rank_tol,
         "initial_step": drive.initial_step,
         "min_step_factor": drive.min_step_factor,
-        "pin": list(drive.pin)})
+        "pin": list(drive.pin),
+        "corrector": sys.counts})
     frame0 = make_frame(r0, 0.0, sys.target_len, drive.flat_event_tol)
     path.frames.append(frame0)
     flat_events = 0
@@ -512,7 +549,7 @@ def flex_path(r0: Realization, el: dict[str, float] | None = None,
             path.termination = "flat_event_target"
             return path
 
-    null = sys.null_space(x, drive.rank_tol)
+    null, pinv = sys.null_space(x, drive.rank_tol)
     acc = None
     if null.shape[0] == 0:
         raise NotFlexible("pinned system has no tangent direction")
@@ -524,16 +561,17 @@ def flex_path(r0: Realization, el: dict[str, float] | None = None,
         raise BranchAmbiguity(
             f"tangent space dimension {null.shape[0]} at a non-flat start", path)
 
-    if not frame0.flat:
-        # orient so the driven dihedral initially moves with drive.direction
-        eps = 1e-6 * sys.diam
-        e = canonical_edge(drive.edge[0], drive.edge[1])
-        d0 = dihedral_angle(Realization.from_flat(x), e)
-        d1 = dihedral_angle(Realization.from_flat(x + eps * tau), e)
-        delta = _wrap_angle(d1 - d0)
-        if abs(delta) > 1e-12 and math.copysign(1.0, delta) != drive.direction:
-            tau = -tau
-            # acceleration is even in the tangent, nothing else to flip
+    # orient so the driven dihedral initially moves with drive.direction; at a
+    # flat start this picks between the two mirror-image ways out of the plane
+    eps = 1e-6 * sys.diam
+    e = canonical_edge(drive.edge[0], drive.edge[1])
+    d0 = dihedral_angle(Realization.from_flat(x), e)
+    d1 = dihedral_angle(Realization.from_flat(x + eps * tau), e)
+    delta = _wrap_angle(d1 - d0)
+    if abs(delta) > 1e-12 and math.copysign(1.0, delta) != drive.direction:
+        tau = -tau
+        # acceleration is even in the tangent, nothing else to flip
+    chord = np.column_stack([pinv, tau * sys.diam]) if null.shape[0] == 1 else None
 
     crossings = _facet_crossing_set(r0) if drive.track_facet_crossings else None
 
@@ -599,7 +637,7 @@ def flex_path(r0: Realization, el: dict[str, float] | None = None,
         if acc is not None:
             x_pred = x_pred + 0.5 * (h * sys.diam) ** 2 * acc
         x_new, ok = sys.correct(x_pred, x, tau, h, drive.corrector_tol,
-                                drive.max_newton)
+                                drive.max_newton, chord)
         if not ok:
             h *= 0.5
             if h < h_floor:
@@ -615,7 +653,7 @@ def flex_path(r0: Realization, el: dict[str, float] | None = None,
                            drive.flat_event_tol)
         path.frames.append(frame)
 
-        null = sys.null_space(x_new, drive.rank_tol)
+        null, pinv = sys.null_space(x_new, drive.rank_tol)
         if null.shape[0] == 0:
             path.termination = "rank_loss"
             break
@@ -634,6 +672,7 @@ def flex_path(r0: Realization, el: dict[str, float] | None = None,
         if float(tau_new @ tau) < 0.0:
             tau_new = -tau_new
         tau = tau_new
+        chord = np.column_stack([pinv, tau * sys.diam]) if null.shape[0] == 1 else None
         x = x_new
         tangents.append(tau)
 

@@ -39,7 +39,6 @@ class InsufficientFrames(ValueError):
 class ConcurrencyResult:
     base: str
     point: np.ndarray
-    spread: float
     residual: float
 
 
@@ -73,18 +72,8 @@ def mannheim_point(r: Realization, base: str = "ABC",
     if sv[-1] < cond_tol * sv[0]:
         raise NearParallelPlanes(f"plane normal conditioning {sv[-1]/sv[0]:.2e}")
     point = np.linalg.solve(a, b)
-
-    # distance from the point to the meet line of planes i and i + 1, from
-    # their residuals s and the Gram matrix G = [[1, c], [c, 1]] of their
-    # normals: sqrt(s^T G^-1 s)
-    s = a @ point - b
-    sj = np.roll(s, -1)
-    c = np.einsum("ij,ij->i", a, np.roll(a, -1, axis=0))
-    dist = np.sqrt(((s - c * sj) ** 2 + (1.0 - c * c) * sj ** 2) / (1.0 - c * c))
-    diam = r.diameter()
-    spread = float(np.max(dist)) / diam
-    residual = abs(float(planes[3] @ point) - float(offsets[3])) / diam
-    return ConcurrencyResult(base=base, point=point, spread=spread, residual=residual)
+    residual = abs(float(planes[3] @ point) - float(offsets[3])) / r.diameter()
+    return ConcurrencyResult(base=base, point=point, residual=residual)
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,22 @@ class TestRun:
         assert (tmp_path / "o" / "case_000" / "summary.json").exists()
         assert (tmp_path / "o" / "case_001" / "summary.json").exists()
 
+    def test_flex_summary_reports_corrector(self, tmp_path):
+        spec = write_spec(tmp_path, {
+            "command": "flex",
+            "source": {"command": "build-type1", "points": EXAMPLE_T1},
+            "drive": {"max_steps": 5}})
+        code = cli.main(["flex", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert code == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["schema"] == 1
+        counts = summary["corrector"]
+        assert set(counts) == {"chord_steps", "gauss_newton_steps", "residual_evals"}
+        assert all(isinstance(v, int) for v in counts.values())
+        assert counts["chord_steps"] + counts["gauss_newton_steps"] >= 5
+        header = (tmp_path / "o" / "path.csv").read_text().splitlines()[0]
+        assert header == ",".join(cli._CSV_HEADER)
+
     def test_steps_override(self, tmp_path):
         spec = write_spec(tmp_path, {
             "command": "flex",
@@ -214,3 +230,72 @@ class TestRun:
         assert code == 0
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert summary["frames"] == 6
+
+
+class TestDriveValidation:
+    """Ill-typed or out-of-range drive values: a named ValidationError, a
+    summary.json and exit status 1."""
+
+    @pytest.mark.parametrize("drive, field", [
+        ({"max_steps": "abc"}, "drive.max_steps"),
+        ({"stop_after_flat_events": "x"}, "drive.stop_after_flat_events"),
+        ({"max_steps": -5}, "drive.max_steps"),
+        ({"corrector_tol": math.nan}, "drive.corrector_tol"),
+        ({"max_newton": 0}, "drive.max_newton"),
+        ({"max_steps": 2.5}, "drive.max_steps"),
+        ({"initial_step": math.inf}, "drive.initial_step"),
+        ({"rank_tol": True}, "drive.rank_tol"),
+        ({"direction": 0}, "drive.direction"),
+        ({"refine_flat_events": 1}, "drive.refine_flat_events"),
+        ({"edge": "AD"}, "drive.edge"),
+        ({"dihedral_range": [0, math.nan]}, "drive.dihedral_range"),
+    ])
+    def test_rejected(self, tmp_path, drive, field):
+        spec = write_spec(tmp_path, {
+            "command": "flex",
+            "source": {"command": "build-type1", "points": EXAMPLE_T1},
+            "drive": drive})
+        with pytest.raises(ValidationError) as err:
+            load_spec(spec)
+        assert err.value.field == field
+        code = cli.main(["flex", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert code == 1
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["status"] == "error"
+        assert summary["error"]["type"] == "ValidationError"
+        assert field in summary["error"]["message"]
+
+    def test_valid_drive_accepted(self, tmp_path):
+        spec = load_spec(write_spec(tmp_path, {
+            "command": "flex",
+            "source": {"command": "build-type1", "points": EXAMPLE_T1},
+            "drive": {"max_steps": 3, "corrector_tol": 1e-11, "initial_step": 1,
+                      "stop_after_flat_events": None, "direction": -1,
+                      "edge": "CB", "refine_flat_events": False}}))
+        assert spec.payload["drive"]["initial_step"] == 1.0
+        assert isinstance(spec.payload["drive"]["initial_step"], float)
+
+    def test_negative_steps_override(self, tmp_path):
+        spec = write_spec(tmp_path, {
+            "command": "flex",
+            "source": {"command": "build-type1", "points": EXAMPLE_T1}})
+        code = cli.main(["flex", "--spec", str(spec), "--out", str(tmp_path / "o"),
+                         "--steps", "-5"])
+        assert code == 1
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert "drive.max_steps" in summary["error"]["message"]
+
+    @pytest.mark.parametrize("raw, field", [
+        ({"command": "flex",
+          "source": {"command": "build-type1", "points": EXAMPLE_T1},
+          "tolerances": {"corrector": math.nan}}, "tolerances.corrector"),
+        ({"command": "classify",
+          "edge_lengths": {e: (math.inf if e == "AB" else 1.0) for e in EDGE_ORDER}},
+         "edge_lengths.AB"),
+    ])
+    def test_non_finite_numbers(self, tmp_path, raw, field):
+        spec = write_spec(tmp_path, raw)
+        code = cli.main([raw["command"], "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert code == 1
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert field in summary["error"]["message"]

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from flexoct import flexion
 from flexoct.builders import build_type1, build_type1_mirror, build_type2, build_type3_flat
-from flexoct.flexion import (DriveSpec, NotFlexible, facet_crossings, flex_dimension,
-                             flex_path, rigidity_matrix)
+from flexoct.flexion import (DriveSpec, NotFlexible, _System, facet_crossings,
+                             flex_dimension, flex_path, rigidity_matrix)
 from flexoct.octahedron import (EDGE_ORDER, Realization, coplanarity_measure,
-                                edge_lengths, regular_octahedron)
+                                edge_length_array, edge_lengths, regular_octahedron)
 
 EXAMPLE_T1 = ((1, 0, 0.5), (0.1, 1, -0.4), (0.7, -0.8, 0.1))
 
@@ -124,6 +125,23 @@ class TestFlexPath:
         assert d_up[1] > d_up[0]
         assert d_down[1] < d_down[0]
 
+    def test_flat_start_direction_control(self):
+        """A flat start leaves the plane on the side drive.direction picks:
+        the two directions trace mirror images through the start plane."""
+        _, r = build_type3_flat((0, 0), (4, 0), (1, 2.5), (5 / 3, 2.5 / 3))
+        assert np.all(r.points[:, 2] == 0.0)
+        kw = dict(max_steps=8, initial_step=0.01, max_step=0.02)
+        up = flex_path(r, drive=DriveSpec(direction=+1, **kw))
+        down = flex_path(r, drive=DriveSpec(direction=-1, **kw))
+        assert len(up.frames) == len(down.frames) == 9
+        d_up = np.diff(np.unwrap(up.dihedral_series("BC")))
+        d_down = np.diff(np.unwrap(down.dihedral_series("BC")))
+        assert np.all(d_up > 0.0) and np.all(d_down < 0.0)
+        p_up = np.stack([f.realization.points for f in up.frames])
+        mirrored = np.stack([f.realization.points for f in down.frames]) * [1, 1, -1]
+        assert np.max(np.abs(p_up[1:, :, 2])) >= 1e-2  # the path left the plane
+        assert np.max(np.abs(mirrored - p_up)) <= 1e-10 * r.diameter()
+
     def test_range_exit(self):
         r = build_type1(*EXAMPLE_T1)
         d0 = flex_path(r, drive=DriveSpec(max_steps=1)).dihedral_series("BC")[0]
@@ -179,3 +197,82 @@ class TestFacetCrossings:
         path = flex_path(r, drive=DriveSpec(max_steps=60, track_facet_crossings=True))
         # the crossing set is recomputed per frame without error
         assert path.frames
+
+
+class TestCorrector:
+    """The chord corrector against damped Gauss-Newton on one step."""
+
+    H = 0.02
+    TOL = 1e-12
+
+    @pytest.fixture
+    def step(self):
+        r = build_type1(*EXAMPLE_T1)
+        sys = _System(r, edge_lengths(r, check=False), ("A", "B", "C"))
+        x = r.flat_vector()
+        null, pinv = sys.null_space(x, 1e-7)
+        tau = null[0]
+        x_pred = x + self.H * sys.diam * tau
+        return r, sys, x, tau, x_pred, np.column_stack([pinv, tau * sys.diam])
+
+    def correct(self, sys, x, tau, x_pred, chord):
+        return sys.correct(x_pred, x, tau, self.H, self.TOL, 25, chord)
+
+    def test_failed_chord_reproduces_gauss_newton(self, step):
+        r, sys, x, tau, x_pred, _ = step
+        # the chord inverse of a point five steps along the path
+        far = flex_path(r, drive=DriveSpec(max_steps=5)).frames[-1].realization
+        null, pinv = sys.null_space(far.flat_vector(), 1e-7)
+        chord = np.column_stack([pinv, null[0] * sys.diam])
+        x_chord, ok_chord = self.correct(sys, x, tau, x_pred, chord)
+        used = dict(sys.counts)
+        assert used["chord_steps"] == 0
+        assert used["gauss_newton_steps"] == 1
+        x_gn, ok_gn = self.correct(sys, x, tau, x_pred, None)
+        gn_evals = sys.counts["residual_evals"] - used["residual_evals"]
+        # the chord moved off x_pred before it failed (initial residual, at
+        # least one halving iteration, the failing one), so Gauss-Newton
+        # restarting from its last iterate would end elsewhere
+        assert used["residual_evals"] - gn_evals >= 3
+        assert ok_chord and ok_gn
+        assert np.array_equal(x_chord, x_gn)
+
+    def test_chord_agrees_with_gauss_newton(self, step):
+        _, sys, x, tau, x_pred, chord = step
+        x_chord, ok = self.correct(sys, x, tau, x_pred, chord)
+        assert ok
+        assert sys.counts["chord_steps"] == 1
+        assert sys.counts["gauss_newton_steps"] == 0
+        x_gn, _ = self.correct(sys, x, tau, x_pred, None)
+        assert np.max(np.abs(x_chord - x_gn)) <= 1e-10
+        lens = edge_length_array(x_chord.reshape(6, 3))
+        assert np.max(np.abs(lens ** 2 / sys.targets2 - 1.0)) < self.TOL
+
+    def test_linalg_calls_per_frame(self, monkeypatch):
+        calls = {"lstsq": 0, "svd": 0}
+
+        def counted(name):
+            fn = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(flexion.np.linalg, name, counted(name))
+        path = flex_path(build_type1(*EXAMPLE_T1), drive=DriveSpec(max_steps=100))
+        frames = len(path.frames)
+        assert frames == 101
+        assert calls["lstsq"] <= 0.5 * frames
+        # per frame one null-space SVD and one in coplanarity_measure, plus
+        # the start's rank check and tangent
+        assert calls["svd"] <= 2 * frames + 2
+
+    def test_counts_in_meta(self):
+        path = flex_path(build_type1(*EXAMPLE_T1), drive=DriveSpec(max_steps=20))
+        counts = path.meta["corrector"]
+        assert set(counts) == {"chord_steps", "gauss_newton_steps", "residual_evals"}
+        assert all(isinstance(v, int) for v in counts.values())
+        assert counts["chord_steps"] + counts["gauss_newton_steps"] >= 20
+        assert counts["residual_evals"] > counts["chord_steps"]

@@ -15,6 +15,23 @@ from flexoct.verifiers import (HEXAGONS, InsufficientFrames, NearParallelPlanes,
 
 EXAMPLE_T1 = ((1, 0, 0.5), (0.1, 1, -0.4), (0.7, -0.8, 0.1))
 
+# the facets across the three sides of each base facet
+SIDE_FACETS = {"ABC": ("ABF", "BCD", "CAE"), "DEF": ("CDE", "AEF", "BFD")}
+
+
+def cramer_meet(r, facets):
+    """Common point of three facet planes, by Cramer's rule."""
+    normals, offsets = [], []
+    for f in facets:
+        p, q, s = (np.asarray(r[v], dtype=float) for v in f)
+        n = np.cross(q - p, s - p)
+        normals.append(n)
+        offsets.append(n @ p)
+    n1, n2, n3 = normals
+    det = n1 @ np.cross(n2, n3)
+    return (offsets[0] * np.cross(n2, n3) + offsets[1] * np.cross(n3, n1)
+            + offsets[2] * np.cross(n1, n2)) / det
+
 
 @pytest.fixture(scope="module")
 def type1_path():
@@ -33,7 +50,9 @@ class TestMannheim:
             for base in ("ABC", "DEF"):
                 res = mannheim_point(frame.realization, base=base)
                 assert res.residual <= 1e-6
-                assert res.spread <= 1e-6
+                meet = cramer_meet(frame.realization, SIDE_FACETS[base])
+                diam = frame.realization.diameter()
+                assert np.max(np.abs(res.point - meet)) <= 1e-9 * diam
 
     def test_rigid_realization_reports_without_assertion(self, rng):
         from conftest import random_generic_realization
