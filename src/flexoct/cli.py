@@ -57,7 +57,7 @@ _ALLOWED_KEYS = {
     "build-type2": {"points", "plane"},
     "build-type3": {"triangle", "interior_point"},
     "classify": {"positions", "edge_lengths"},
-    "flex": {"positions", "edge_lengths", "source", "drive"},
+    "flex": {"positions", "source", "drive"},
     "verify": {"frames_dir", "source", "drive"},
     "fourbar": {"sides"},
 }
@@ -87,8 +87,9 @@ def _is_positive(v) -> bool:
 
 
 def _require_vec(obj, field: str, n: int) -> list[float]:
-    if not isinstance(obj, (list, tuple)) or len(obj) != n or not all(map(_is_number, obj)):
-        raise ValidationError(field, f"expected a list of {n} numbers")
+    if (not isinstance(obj, (list, tuple)) or len(obj) != n
+            or not all(_is_number(v) and math.isfinite(v) for v in obj)):
+        raise ValidationError(field, f"expected a list of {n} finite numbers")
     return [float(v) for v in obj]
 
 
@@ -132,10 +133,8 @@ def _validate_drive(raw) -> dict:
                 or frozenset(edge) not in {frozenset(e) for e in EDGE_ORDER}):
             raise ValidationError("drive.edge", "expected an edge name such as 'BC'")
     if "dihedral_range" in drive:
-        rng = _require_vec(drive["dihedral_range"], "drive.dihedral_range", 2)
-        if not all(math.isfinite(v) for v in rng):
-            raise ValidationError("drive.dihedral_range", "must be finite")
-        drive["dihedral_range"] = tuple(rng)
+        drive["dihedral_range"] = tuple(
+            _require_vec(drive["dihedral_range"], "drive.dihedral_range", 2))
     if "pin" in drive:
         pin = drive["pin"]
         if (not isinstance(pin, (list, tuple)) or len(pin) != 3
@@ -517,9 +516,8 @@ def run(job: JobSpec, out_dir=None, overrides=None) -> int:
                     r = Realization.from_dict(job.payload["positions"])
                 else:
                     r, _ = _build_from_job(job.payload["source"])
-                el = job.payload.get("edge_lengths")
                 drive = _drive_from_payload(job, overrides)
-                path_obj = flexion.flex_path(r, el, drive)
+                path_obj = flexion.flex_path(r, drive)
             summary["frames"] = len(path_obj.frames)
             summary["termination"] = path_obj.termination
             if "corrector" in path_obj.meta:

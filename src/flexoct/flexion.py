@@ -12,11 +12,12 @@ the last accepted point, restarted as damped Gauss-Newton when it stops
 converging.
 
 Flat (coplanar) configurations are first-order degenerate: every
-out-of-plane displacement is an infinitesimal flex.  Paths starting flat
-select their tangent by second-order analysis (the self-stress quadratic
-forms must vanish on a genuine flex) and launch with a second-order
-predictor.  Flat crossings met along a path are located by a local search
-and recorded as events, not failures.
+out-of-plane displacement is an infinitesimal flex.  A flat start's tangent
+is the common zero of the three self-stress quadratic forms (a genuine flex
+annihilates them), found in closed form from their conic pencils; the path
+launches with a second-order predictor.  Flat crossings met along a path are
+located by a golden-section search down to the corrector's resolution,
+sqrt(corrector_tol) of the diameter, and recorded as events, not failures.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .octahedron import (EDGE_INCIDENCE, EDGE_ORDER, FACET_NAMES, FACET_VERTS,
-                         VERTICES, Realization, all_dihedrals, canonical_edge,
+from .octahedron import (EDGE_INCIDENCE, FACET_NAMES, FACET_VERTS, VERTICES,
+                         Realization, all_dihedrals, canonical_edge,
                          coplanarity_measure, dihedral_angle, dot_rows,
-                         edge_length_array, edge_lengths, edge_vectors, row_norms)
+                         edge_length_array, edge_vectors, row_norms)
 
 
 class NotFlexible(ValueError):
@@ -45,7 +46,8 @@ class ContinuationStall(RuntimeError):
 
 
 class BranchAmbiguity(RuntimeError):
-    """Tangent space dimension exceeded one away from a flat configuration."""
+    """Tangent space dimension exceeded one away from a flat configuration,
+    or differed from three at a flat start."""
 
     def __init__(self, message: str, partial: "FlexionPath"):
         super().__init__(message)
@@ -255,17 +257,18 @@ def facet_crossings(r: Realization, tol: float | None = None) -> list[tuple[str,
 
 
 class _System:
-    """Edge + pin constraint system in the 18 coordinates.
+    """Edge + pin constraint system in the 18 coordinates, holding r0's own
+    edge lengths.
 
     Each squared-length residual is normalized by its own target, so the
     corrector tolerance bounds the relative length error of every edge
     uniformly, short edges included.
     """
 
-    def __init__(self, r0: Realization, el: dict[str, float], pin: tuple[str, str, str]):
+    def __init__(self, r0: Realization, pin: tuple[str, str, str]):
         self.x0 = r0.flat_vector()
         self.diam = r0.diameter()
-        self.targets2 = np.array([el[e] ** 2 for e in EDGE_ORDER])
+        self.targets2 = edge_length_array(r0.points) ** 2
         self.target_len = np.sqrt(self.targets2)
         i0, i1, i2 = (VERTICES.index(v) for v in pin)
         p = r0.points
@@ -299,14 +302,14 @@ class _System:
                 h: float, tol: float, max_newton: int,
                 chord: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
         """Chord iteration, else damped Gauss-Newton, on the constraints plus
-        the arclength row.
+        the arclength row.  After the first iterate that meets tol, either
+        takes one more full step and keeps it if it lowers |f|.
 
         With ``chord``, a fixed 18 x 19 inverse of the corrector matrix, the
         iteration x <- x - chord @ f(x) runs while every iteration at least
-        halves |f|.  After the first iterate that meets tol it takes one more
-        and keeps it if it lowers |f|.  On the first iteration that does not
-        halve |f|, damped Gauss-Newton restarts from x_pred, so a step the
-        chord fails ends exactly as a step without it.
+        halves |f|.  On the first iteration that does not halve |f|, damped
+        Gauss-Newton restarts from x_pred, so a step the chord fails ends
+        exactly as a step without it.
 
         The Gauss-Newton line search takes the first of the steps 1, 1/2, ...,
         1/2048 that lowers the residual norm, else the step 1/4096.  All
@@ -341,31 +344,31 @@ class _System:
         x = x_pred.copy()
         fv = residual(x)
         for it in range(max_newton):
-            if np.max(np.abs(fv[:-1])) < tol and it > 0:
-                return x, True
+            met = it > 0 and np.max(np.abs(fv[:-1])) < tol
             jac = np.vstack([self.jacobian(x), arc_row])
             dx = np.linalg.lstsq(jac, -fv, rcond=None)[0]
             trial = x + steps[:, None] * dx
             ftrial = residual(trial)
+            if met:
+                return (trial[0] if ftrial[0] @ ftrial[0] < fv @ fv else x), True
             lower = row_norms(ftrial[:-1]) < np.linalg.norm(fv)
             k = int(np.argmax(lower)) if lower.any() else len(steps) - 1
             x, fv = trial[k], ftrial[k]
         return x, bool(np.max(np.abs(fv[:-1])) < tol)
 
-    def null_space(self, x: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
-        """Null-space basis (rows) of the pinned Jacobian J at x, and the
-        pseudo-inverse V_r S_r^-1 U_r^T of J's range part from the same SVD.
+    def null_space(self, x: np.ndarray, rank_tol: float
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Null-space basis (rows) of the pinned Jacobian J at x, the
+        pseudo-inverse V_r S_r^-1 U_r^T of J's range part, and the left null
+        space (rows, the self-stresses), all from one SVD.
 
         With a one-row basis tau, [range part | tau * diam] is the
-        pseudo-inverse of the corrector matrix [J; tau / diam] at x.
+        pseudo-inverse of the corrector matrix [J; tau / diam] at x.  J is
+        square, so there are as many self-stresses as null vectors.
         """
         u, sv, vt = np.linalg.svd(self.jacobian(x))
         null = sv < rank_tol * sv[0] if sv[0] != 0.0 else np.ones(len(sv), bool)
-        return vt[null], (vt[~null].T / sv[~null]) @ u[:, ~null].T
-
-    def left_null(self, x: np.ndarray, rank_tol: float) -> np.ndarray:
-        u, sv, _ = np.linalg.svd(self.jacobian(x))
-        return u[:, sv < rank_tol * sv[0]].T
+        return vt[null], (vt[~null].T / sv[~null]) @ u[:, ~null].T, u[:, null].T
 
     def stress_quadric(self, lam: np.ndarray, basis: np.ndarray) -> np.ndarray:
         """Quadratic form of one self-stress restricted to a null-space basis."""
@@ -381,104 +384,58 @@ class _System:
         return np.linalg.lstsq(self.jacobian(x), rhs, rcond=None)[0]
 
 
-def _common_quadric_zero(mats: list[np.ndarray], rng_seed: int = 0) -> list[np.ndarray]:
-    """Unit vectors annihilating every quadratic form in mats.
-
-    With three forms in three unknowns, an indefinite form is parameterized
-    as a cone and the next form is root-found along it; survivors are
-    filtered by the rest.  Other shapes use a sampled Gauss-Newton search.
-    """
-    if not mats:
+def _plane_zeros(q: np.ndarray, plane: np.ndarray) -> list[np.ndarray]:
+    """The two unit vectors in the span of the orthonormal rows of plane on
+    which the form q vanishes, or none where q is definite there."""
+    w, f = np.linalg.eigh(plane @ q @ plane.T)
+    if w[0] * w[1] > 0.0:
         return []
-    k = mats[0].shape[0]
+    a, b = np.sqrt(np.abs(w))
+    return list((plane.T @ f @ [[b, b], [a, -a]]).T / math.hypot(a, b))
+
+
+def _common_quadric_zero(mats: list[np.ndarray]) -> list[np.ndarray]:
+    """Unit vectors, one per +- pair, on which three ternary quadratic forms
+    all vanish.
+
+    A real common zero of two conics q1, q2 lies on a real line of each
+    degenerate member q1 + lam q2 of their pencil, lam a real root of the
+    cubic det(q1 + lam q2), so it is a meet of such a line with q1.  Meets
+    on which every form vanishes to 1e-9 of its norm are kept.  Two conics
+    that nearly touch place their meet poorly, so all three pencils are
+    solved and each direction keeps its candidate of smallest residual.
+    """
     norms = [max(np.linalg.norm(m), 1e-30) for m in mats]
-
-    def polish(u):
-        u = np.asarray(u, dtype=float)
-        for _ in range(100):
-            q = np.array([u @ m @ u for m in mats])
-            jq = np.array([2.0 * m @ u for m in mats])
-            du, *_ = np.linalg.lstsq(jq, -q, rcond=None)
-            un = u + du
-            nn = np.linalg.norm(un)
-            if nn == 0.0:
-                return None
-            un = un / nn
-            if np.linalg.norm(un - u) < 1e-15:
-                u = un
-                break
-            u = un
-        rel = max(abs(u @ m @ u) / n for m, n in zip(mats, norms))
-        return u if rel < 1e-9 else None
-
+    found = []
+    for q1, q2 in zip(mats, mats[1:] + mats[:1]):
+        # the rows of a 3 x 3 adjugate are cross products of columns
+        adj1, adj2 = (np.cross(q[:, [1, 2, 0]].T, q[:, [2, 0, 1]].T) for q in (q1, q2))
+        roots = np.roots([np.linalg.det(q2), np.trace(adj2 @ q1),
+                          np.trace(adj1 @ q2), np.linalg.det(q1)])
+        for lam in roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots.real))].real:
+            member = q1 + lam * q2
+            w, v = np.linalg.eigh(member)
+            k = int(np.argmin(np.abs(w)))  # v[:, k] is where the two lines meet
+            for line in _plane_zeros(member, np.delete(v, k, axis=1).T):
+                for u in _plane_zeros(q1, np.array([v[:, k], line])):
+                    res = max(abs(u @ m @ u) / n for m, n in zip(mats, norms))
+                    if res < 1e-9:
+                        found.append((res, u))
     sols: list[np.ndarray] = []
-
-    def push(u):
-        if u is None:
-            return
+    for _, u in sorted(found, key=lambda item: item[0]):
         if all(abs(float(s @ u)) < 1.0 - 1e-6 for s in sols):
             sols.append(u)
-
-    if k == 3 and len(mats) >= 2:
-        for first in range(len(mats)):
-            w, vec = np.linalg.eigh(mats[first])
-            pos = [i for i in range(3) if w[i] > 0]
-            neg = [i for i in range(3) if w[i] < 0]
-            if not pos or not neg:
-                continue
-            second = (first + 1) % len(mats)
-
-            def on_cone(th):
-                if len(pos) == 2:
-                    return (math.cos(th) / math.sqrt(w[pos[0]]) * vec[:, pos[0]]
-                            + math.sin(th) / math.sqrt(w[pos[1]]) * vec[:, pos[1]]
-                            + vec[:, neg[0]] / math.sqrt(-w[neg[0]]))
-                return (math.cos(th) / math.sqrt(-w[neg[0]]) * vec[:, neg[0]]
-                        + math.sin(th) / math.sqrt(-w[neg[1]]) * vec[:, neg[1]]
-                        + vec[:, pos[0]] / math.sqrt(w[pos[0]]))
-
-            def g2(th):
-                z = on_cone(th)
-                return float(z @ mats[second] @ z)
-
-            ths = np.linspace(0.0, 2.0 * math.pi, 2001)
-            gv = np.array([g2(t) for t in ths])
-            for i in range(len(ths) - 1):
-                if gv[i] == 0.0 or gv[i] * gv[i + 1] < 0.0:
-                    a, b = ths[i], ths[i + 1]
-                    ga = gv[i]
-                    for _ in range(80):
-                        mid = 0.5 * (a + b)
-                        gm = g2(mid)
-                        if ga * gm <= 0.0:
-                            b = mid
-                        else:
-                            a, ga = mid, gm
-                    z = on_cone(0.5 * (a + b))
-                    push(polish(z / np.linalg.norm(z)))
-            if sols:
-                return sols
-
-    rng = np.random.default_rng(rng_seed)
-    samples = rng.normal(size=(4096, k))
-    samples /= np.linalg.norm(samples, axis=1, keepdims=True)
-    score = np.zeros(len(samples))
-    for m, n in zip(mats, norms):
-        score += np.abs(np.einsum("ni,ij,nj->n", samples, m, samples)) / n
-    for idx in np.argsort(score)[:24]:
-        push(polish(samples[idx]))
     return sols
 
 
 def _flat_start_tangent(sys: _System, x0: np.ndarray, null: np.ndarray,
-                        drive: DriveSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Second-order tangent and acceleration for leaving a flat configuration."""
-    stresses = sys.left_null(x0, drive.rank_tol)
+                        stresses: np.ndarray, drive: DriveSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Second-order tangent and acceleration for leaving a flat configuration
+    with a three-dimensional null space and its three self-stresses."""
     mats = [sys.stress_quadric(lam[:12], null) for lam in stresses]
-    candidates = _common_quadric_zero(mats) if mats else [np.eye(null.shape[0])[0]]
     h = drive.initial_step
     best = None
-    for u in candidates:
+    for u in _common_quadric_zero(mats):
         v = null.T @ u
         v = v / np.linalg.norm(v)
         acc = sys.acceleration(x0, v)
@@ -513,23 +470,20 @@ def make_frame(r: Realization, arc: float, target_len: np.ndarray,
                      flat_measure=measure, flat=measure <= flat_tol)
 
 
-def flex_path(r0: Realization, el: dict[str, float] | None = None,
-              drive: DriveSpec = DriveSpec()) -> FlexionPath:
-    """Trace an edge-length-preserving deformation from r0.
+def flex_path(r0: Realization, drive: DriveSpec = DriveSpec()) -> FlexionPath:
+    """Trace a deformation from r0 that keeps r0's edge lengths.
 
     Raises NotFlexible when the start has no flex.  A corrector failure
     after step reduction to the floor raises ContinuationStall carrying the
-    partial path; a tangent-space ambiguity away from flat configurations
-    raises BranchAmbiguity the same way.
+    partial path; a tangent-space ambiguity (at a flat start, a null space
+    other than the three out-of-plane directions) raises BranchAmbiguity
+    the same way.
     """
-    if el is None:
-        el = edge_lengths(r0, check=False)
-    report = flex_dimension(r0, rank_tol=drive.rank_tol)
-    if report.flex_dimension < 1:
-        raise NotFlexible(f"flex dimension {report.flex_dimension}; rank {report.rank}")
-
-    sys = _System(r0, el, drive.pin)
+    sys = _System(r0, drive.pin)
     x = r0.flat_vector()
+    null, pinv, stresses = sys.null_space(x, drive.rank_tol)
+    if null.shape[0] == 0:
+        raise NotFlexible("flex dimension 0: the pinned Jacobian has full rank")
     path = FlexionPath(frames=[], drive=drive, meta={
         "corrector_tol": drive.corrector_tol,
         "max_newton": drive.max_newton,
@@ -549,17 +503,15 @@ def flex_path(r0: Realization, el: dict[str, float] | None = None,
             path.termination = "flat_event_target"
             return path
 
-    null, pinv = sys.null_space(x, drive.rank_tol)
     acc = None
-    if null.shape[0] == 0:
-        raise NotFlexible("pinned system has no tangent direction")
     if null.shape[0] == 1:
         tau = null[0]
-    elif frame0.flat:
-        tau, acc = _flat_start_tangent(sys, x, null, drive)
+    elif frame0.flat and null.shape[0] == 3:
+        tau, acc = _flat_start_tangent(sys, x, null, stresses, drive)
     else:
         raise BranchAmbiguity(
-            f"tangent space dimension {null.shape[0]} at a non-flat start", path)
+            f"tangent space dimension {null.shape[0]} at a "
+            f"{'flat' if frame0.flat else 'non-flat'} start", path)
 
     # orient so the driven dihedral initially moves with drive.direction; at a
     # flat start this picks between the two mirror-image ways out of the plane
@@ -607,7 +559,10 @@ def flex_path(r0: Realization, el: dict[str, float] | None = None,
         c = a_hi - gr * (a_hi - a_lo)
         d = a_lo + gr * (a_hi - a_lo)
         fc, fd = probe(c), probe(d)
-        for _ in range(60):
+        # out-of-plane coordinates enter the squared lengths quadratically
+        # near a flat point, so the corrector fixes them, and the measure,
+        # only to about sqrt(corrector_tol) of the diameter
+        while (a_hi - a_lo) * width > math.sqrt(drive.corrector_tol):
             if fc < fd:
                 a_hi, d, fd = d, c, fc
                 c = a_hi - gr * (a_hi - a_lo)
@@ -653,7 +608,7 @@ def flex_path(r0: Realization, el: dict[str, float] | None = None,
                            drive.flat_event_tol)
         path.frames.append(frame)
 
-        null, pinv = sys.null_space(x_new, drive.rank_tol)
+        null, pinv, _ = sys.null_space(x_new, drive.rank_tol)
         if null.shape[0] == 0:
             path.termination = "rank_loss"
             break

@@ -220,6 +220,20 @@ class TestRun:
         header = (tmp_path / "o" / "path.csv").read_text().splitlines()[0]
         assert header == ",".join(cli._CSV_HEADER)
 
+    def test_flex_rejects_edge_lengths(self, tmp_path):
+        """A flex path always keeps the lengths of its start; foreign edge
+        lengths are an input error, not a path that starts off its lengths."""
+        spec = write_spec(tmp_path, {
+            "command": "flex",
+            "source": {"command": "build-type1", "points": EXAMPLE_T1},
+            "edge_lengths": {e: 1.0 for e in EDGE_ORDER}})
+        code = cli.main(["flex", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert code == 1
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["status"] == "error"
+        assert summary["error"]["type"] == "ValidationError"
+        assert "edge_lengths" in summary["error"]["message"]
+
     def test_steps_override(self, tmp_path):
         spec = write_spec(tmp_path, {
             "command": "flex",
@@ -292,6 +306,14 @@ class TestDriveValidation:
         ({"command": "classify",
           "edge_lengths": {e: (math.inf if e == "AB" else 1.0) for e in EDGE_ORDER}},
          "edge_lengths.AB"),
+        ({"command": "flex",
+          "positions": {**regular_octahedron().as_dict(), "D": [-1, 0, math.nan]}},
+         "positions.D"),
+        ({"command": "classify",
+          "positions": {**regular_octahedron().as_dict(), "D": [-1, 0, math.nan]}},
+         "positions.D"),
+        ({"command": "build-type1",
+          "points": {**EXAMPLE_T1, "A": [1, 0.2, math.inf]}}, "points.A"),
     ])
     def test_non_finite_numbers(self, tmp_path, raw, field):
         spec = write_spec(tmp_path, raw)

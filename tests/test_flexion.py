@@ -7,12 +7,34 @@ import pytest
 
 from flexoct import flexion
 from flexoct.builders import build_type1, build_type1_mirror, build_type2, build_type3_flat
-from flexoct.flexion import (DriveSpec, NotFlexible, _System, facet_crossings,
-                             flex_dimension, flex_path, rigidity_matrix)
+from flexoct.flexion import (BranchAmbiguity, DriveSpec, NotFlexible, _System,
+                             _common_quadric_zero, facet_crossings, flex_dimension,
+                             flex_path, rigidity_matrix)
 from flexoct.octahedron import (EDGE_ORDER, Realization, coplanarity_measure,
                                 edge_length_array, edge_lengths, regular_octahedron)
 
 EXAMPLE_T1 = ((1, 0, 0.5), (0.1, 1, -0.4), (0.7, -0.8, 0.1))
+EXAMPLE_T3 = ((0, 0), (4, 0), (1, 2.5), (5 / 3, 2.5 / 3))
+TYPE3_DRIVE = DriveSpec(max_steps=2000, initial_step=0.01, max_step=0.02,
+                        stop_after_flat_events=2)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts of the lstsq and svd calls made through flexion's numpy."""
+    calls = {"lstsq": 0, "svd": 0}
+
+    def counted(name):
+        fn = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(flexion.np.linalg, name, counted(name))
+    return calls
 
 
 class TestRigidityMatrix:
@@ -104,9 +126,8 @@ class TestFlexPath:
             flex_path(build_type1_mirror(*EXAMPLE_T1))
 
     def test_type3_reaches_second_flat(self):
-        _, r = build_type3_flat((0, 0), (4, 0), (1, 2.5), (5 / 3, 2.5 / 3))
-        path = flex_path(r, drive=DriveSpec(max_steps=2000, initial_step=0.01,
-                                            max_step=0.02, stop_after_flat_events=2))
+        _, r = build_type3_flat(*EXAMPLE_T3)
+        path = flex_path(r, drive=TYPE3_DRIVE)
         flats = path.flat_events()
         assert len(flats) == 2
         assert flats[0].frame_index == 0
@@ -174,7 +195,7 @@ class TestFlexPath:
     def test_edge_lengths_honored(self):
         r = build_type2((0, 0, 1), (0.2, 0, -1), (1, 0.7, 0.3), (-0.9, 0.5, -0.2))
         el = edge_lengths(r)
-        path = flex_path(r, el, DriveSpec(max_steps=40))
+        path = flex_path(r, DriveSpec(max_steps=40))
         last = path.frames[-1].realization
         got = edge_lengths(last, check=False)
         assert max(abs(got[e] - el[e]) / el[e] for e in el) <= 1e-9
@@ -208,9 +229,9 @@ class TestCorrector:
     @pytest.fixture
     def step(self):
         r = build_type1(*EXAMPLE_T1)
-        sys = _System(r, edge_lengths(r, check=False), ("A", "B", "C"))
+        sys = _System(r, ("A", "B", "C"))
         x = r.flat_vector()
-        null, pinv = sys.null_space(x, 1e-7)
+        null, pinv, _ = sys.null_space(x, 1e-7)
         tau = null[0]
         x_pred = x + self.H * sys.diam * tau
         return r, sys, x, tau, x_pred, np.column_stack([pinv, tau * sys.diam])
@@ -222,7 +243,7 @@ class TestCorrector:
         r, sys, x, tau, x_pred, _ = step
         # the chord inverse of a point five steps along the path
         far = flex_path(r, drive=DriveSpec(max_steps=5)).frames[-1].realization
-        null, pinv = sys.null_space(far.flat_vector(), 1e-7)
+        null, pinv, _ = sys.null_space(far.flat_vector(), 1e-7)
         chord = np.column_stack([pinv, null[0] * sys.diam])
         x_chord, ok_chord = self.correct(sys, x, tau, x_pred, chord)
         used = dict(sys.counts)
@@ -248,26 +269,22 @@ class TestCorrector:
         lens = edge_length_array(x_chord.reshape(6, 3))
         assert np.max(np.abs(lens ** 2 / sys.targets2 - 1.0)) < self.TOL
 
-    def test_linalg_calls_per_frame(self, monkeypatch):
-        calls = {"lstsq": 0, "svd": 0}
-
-        def counted(name):
-            fn = getattr(np.linalg, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(flexion.np.linalg, name, counted(name))
+    def test_linalg_calls_per_frame(self, linalg_calls):
         path = flex_path(build_type1(*EXAMPLE_T1), drive=DriveSpec(max_steps=100))
         frames = len(path.frames)
         assert frames == 101
-        assert calls["lstsq"] <= 0.5 * frames
+        assert linalg_calls["lstsq"] <= 0.5 * frames
         # per frame one null-space SVD and one in coplanarity_measure, plus
         # the start's rank check and tangent
-        assert calls["svd"] <= 2 * frames + 2
+        assert linalg_calls["svd"] <= 2 * frames + 2
+
+    def test_flat_search_lstsq_per_frame(self, linalg_calls):
+        """The flat-event search stops at the corrector's resolution instead
+        of running a fixed 60 golden-section probes."""
+        _, r = build_type3_flat(*EXAMPLE_T3)
+        path = flex_path(r, drive=TYPE3_DRIVE)
+        assert len(path.flat_events()) == 2
+        assert linalg_calls["lstsq"] <= 50 * len(path.frames)
 
     def test_counts_in_meta(self):
         path = flex_path(build_type1(*EXAMPLE_T1), drive=DriveSpec(max_steps=20))
@@ -276,3 +293,48 @@ class TestCorrector:
         assert all(isinstance(v, int) for v in counts.values())
         assert counts["chord_steps"] + counts["gauss_newton_steps"] >= 20
         assert counts["residual_evals"] > counts["chord_steps"]
+
+
+class TestFlatStart:
+    """The closed-form common zero of the self-stress forms at a flat start."""
+
+    @staticmethod
+    def forms_vanishing_at(rng, u, count=3):
+        forms = []
+        for _ in range(count):
+            m = rng.normal(size=(3, 3))
+            m = m + m.T
+            forms.append(m - (u @ m @ u) * np.outer(u, u))
+        return forms
+
+    def test_planted_common_zero(self, rng):
+        for _ in range(20):
+            u = rng.normal(size=3)
+            u /= np.linalg.norm(u)
+            sols = _common_quadric_zero(self.forms_vanishing_at(rng, u))
+            assert len(sols) == 1
+            assert min(np.max(np.abs(sols[0] - u)), np.max(np.abs(sols[0] + u))) <= 1e-12
+
+    def test_no_common_zero(self, rng):
+        for _ in range(20):
+            u, w = rng.normal(size=(2, 3))
+            mats = (self.forms_vanishing_at(rng, u / np.linalg.norm(u), 2)
+                    + self.forms_vanishing_at(rng, w / np.linalg.norm(w), 1))
+            assert _common_quadric_zero(mats) == []
+
+    def test_rigid_flat_start(self):
+        """Moving D, E, F in the plane breaks the concurrency the flat flex
+        needs: every out-of-plane direction is a first-order flex, but none
+        extends to second order."""
+        _, r = build_type3_flat(*EXAMPLE_T3)
+        pts = r.points.copy()
+        pts[3:, :2] += [[0.05, 0.0], [0.0, 0.05], [-0.05, 0.03]]
+        with pytest.raises(NotFlexible, match="no finite flex"):
+            flex_path(Realization(pts))
+
+    def test_flat_start_null_dimension_not_three(self):
+        """A rank tolerance that counts a fourth direction as null leaves the
+        flat start's tangent ambiguous."""
+        _, r = build_type3_flat(*EXAMPLE_T3)
+        with pytest.raises(BranchAmbiguity, match="dimension 4 at a flat start"):
+            flex_path(r, drive=DriveSpec(rank_tol=4.4e-3))
