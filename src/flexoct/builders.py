@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .octahedron import Realization, check_facets, edge_lengths
+from .flexion import flex_dimension
+from .octahedron import Realization, check_facets, edge_lengths, flat_angle_product
 
 
 class DegenerateInput(ValueError):
@@ -135,120 +136,63 @@ def _mirror_central(el: dict[str, float]) -> Realization | None:
     return Realization(np.array([pa, pb, pc, -pa, -pb, -pc]))
 
 
-class _MirrorChain:
-    """Two-tetrahedron assembly parameterized by diagonal length s and twist."""
-
-    def __init__(self, el: dict[str, float], sgn_b: float, sgn_delta: float):
-        self.r_f = (el["FA"], el["FD"])
-        self.r_b = (el["AB"], el["DB"])
-        self.r_c = (el["CA"], el["CD"])
-        self.r_e = (el["AE"], el["DE"])
-        self.l_fb = el["BF"]
-        self.l_ce = el["EC"]
-        self.sgn_b = sgn_b
-        self.sgn_delta = sgn_delta
-        lo = max(abs(r1 - r2) for r1, r2 in (self.r_f, self.r_b, self.r_c, self.r_e))
-        hi = min(r1 + r2 for r1, r2 in (self.r_f, self.r_b, self.r_c, self.r_e))
-        self.s_range = (lo, hi)
-
-    def build(self, s: float, omega: float) -> Realization | None:
-        if not (self.s_range[0] < s < self.s_range[1]):
-            return None
-        pos = {}
-        for name, (r1, r2) in (("F", self.r_f), ("B", self.r_b),
-                               ("C", self.r_c), ("E", self.r_e)):
-            x = (r1 * r1 - r2 * r2 + s * s) / (2.0 * s)
-            rho2 = r1 * r1 - x * x
-            if rho2 <= 0.0:
-                return None
-            pos[name] = (x, math.sqrt(rho2))
-        xf, rf = pos["F"]
-        xb, rb = pos["B"]
-        xc, rc = pos["C"]
-        xe, re = pos["E"]
-        cb = (rb * rb + rf * rf + (xb - xf) ** 2 - self.l_fb ** 2) / (2.0 * rb * rf)
-        cd = (rc * rc + re * re + (xc - xe) ** 2 - self.l_ce ** 2) / (2.0 * rc * re)
-        if abs(cb) > 1.0 or abs(cd) > 1.0:
-            return None
-        th_b = math.acos(cb) * self.sgn_b
-        delta = math.acos(cd) * self.sgn_delta
-        pa = np.zeros(3)
-        pd = np.array([s, 0.0, 0.0])
-        pf = np.array([xf, rf, 0.0])
-        pb = np.array([xb, rb * math.cos(th_b), rb * math.sin(th_b)])
-        pc = np.array([xc, rc * math.cos(omega), rc * math.sin(omega)])
-        pe = np.array([xe, re * math.cos(omega + delta), re * math.sin(omega + delta)])
-        return Realization(np.array([pa, pb, pc, pd, pe, pf]))
-
-
-def _closure_gap(r: Realization, el: dict[str, float]) -> np.ndarray:
-    return np.array([np.linalg.norm(r["B"] - r["C"]) - el["BC"],
-                     np.linalg.norm(r["E"] - r["F"]) - el["EF"]])
-
-
 def _first_order_rigid(r: Realization, rank_tol: float = 1e-7) -> bool:
-    from .flexion import flex_dimension
     return flex_dimension(r, rank_tol=rank_tol).flex_dimension == 0
 
 
-def _mirror_general(el: dict[str, float], sgn_b: float, sgn_delta: float,
-                    n_s: int = 80, n_omega: int = 96) -> Realization | None:
-    """Solve the two closure equations on the mirror assembly manifold.
+def _mirror_general(el: dict[str, float], sgn_b: float,
+                    sgn_delta: float) -> Realization | None:
+    """Close the mirror assembly by a one-variable solve in s = |AD|.
 
-    Converged candidates that are first-order flexible are discarded: they
-    sit at coplanar positions of the reattached pair, where the mirror and
-    direct assemblies coincide.
+    With A at the origin and D at (s, 0, 0), each of B, C, E, F lies on a
+    circle about AD whose axial offset and radius s fixes.  Each edge of the
+    ring B-C-E-F fixes the cosine of the twist between its endpoints'
+    circles: with F at twist 0, BF gives B, BC gives C (two ways), EC gives
+    E, and EF is the one equation left, g(s) = cos(twist E) - k_EF.  g is
+    sampled on 8192 diagonal lengths and each sign change bisected.  Roots
+    that are first-order flexible are skipped: they sit at coplanar
+    positions of the reattached pair, where the mirror and direct
+    assemblies coincide.
     """
-    chain = _MirrorChain(el, sgn_b, sgn_delta)
-    lo, hi = chain.s_range
-    if not (hi > lo):
+    arms = {"B": (el["AB"], el["DB"]), "C": (el["CA"], el["CD"]),
+            "E": (el["AE"], el["DE"]), "F": (el["FA"], el["FD"])}
+    lo = max(abs(p - q) for p, q in arms.values())
+    hi = min(p + q for p, q in arms.values())
+    if not hi > lo:
         return None
-    span = hi - lo
-    candidates = []
-    for s in np.linspace(lo + 1e-4 * span, hi - 1e-4 * span, n_s):
-        for omega in np.linspace(0.0, 2.0 * math.pi, n_omega, endpoint=False):
-            r = chain.build(s, omega)
-            if r is None:
-                continue
-            g = _closure_gap(r, el)
-            candidates.append((float(g @ g), s, omega))
-    candidates.sort(key=lambda t: t[0])
-    eps = 1e-7 * max(1.0, span)
-    for _, s, omega in candidates[:12]:
-        si, oi = s, omega
-        for _ in range(80):
-            r = chain.build(si, oi)
-            if r is None:
-                break
-            g = _closure_gap(r, el)
-            if np.max(np.abs(g)) < 1e-12 * el["BC"]:
-                if _first_order_rigid(r):
-                    return r
-                break
-            jac = np.zeros((2, 2))
-            ok = True
-            for k, (ds, do) in enumerate(((eps, 0.0), (0.0, eps))):
-                rp = chain.build(si + ds, oi + do)
-                if rp is None:
-                    ok = False
-                    break
-                jac[:, k] = (_closure_gap(rp, el) - g) / eps
-            if not ok:
-                break
-            try:
-                step = np.linalg.solve(jac, -g)
-            except np.linalg.LinAlgError:
-                break
-            lam = 1.0
-            while lam > 1e-6:
-                rp = chain.build(si + lam * step[0], oi + lam * step[1])
-                if rp is not None:
-                    gp = _closure_gap(rp, el)
-                    if gp @ gp < g @ g:
-                        break
-                lam *= 0.5
-            si += lam * step[0]
-            oi += lam * step[1]
+
+    def ring(s, sgn_c):
+        """EF closure gap, axial offsets, radii and twists at diagonal s."""
+        x = {v: (p * p - q * q + s * s) / (2.0 * s) for v, (p, q) in arms.items()}
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rho = {v: np.sqrt(arms[v][0] ** 2 - x[v] ** 2) for v in arms}
+
+            def cos_twist(v, w, edge):
+                return ((rho[v] ** 2 + rho[w] ** 2 + (x[v] - x[w]) ** 2 - el[edge] ** 2)
+                        / (2.0 * rho[v] * rho[w]))
+
+            th = {"F": 0.0, "B": sgn_b * np.arccos(cos_twist("B", "F", "BF"))}
+            th["C"] = th["B"] + sgn_c * np.arccos(cos_twist("B", "C", "BC"))
+            th["E"] = th["C"] + sgn_delta * np.arccos(cos_twist("C", "E", "EC"))
+            return np.cos(th["E"]) - cos_twist("E", "F", "EF"), x, rho, th
+
+    grid = np.linspace(lo, hi, 8194)[1:-1]
+    for sgn_c in (1.0, -1.0):
+        g = ring(grid, sgn_c)[0]
+        for i in np.flatnonzero(g[:-1] * g[1:] <= 0.0):
+            a, b, ga = grid[i], grid[i + 1], g[i]
+            while a < 0.5 * (a + b) < b:
+                m = 0.5 * (a + b)
+                if ring(m, sgn_c)[0] * ga > 0.0:
+                    a = m
+                else:
+                    b = m
+            _, x, rho, th = ring(a, sgn_c)
+            pos = {v: [x[v], rho[v] * np.cos(th[v]), rho[v] * np.sin(th[v])] for v in arms}
+            r = Realization(np.array([[0.0, 0.0, 0.0], pos["B"], pos["C"],
+                                      [a, 0.0, 0.0], pos["E"], pos["F"]]))
+            if _lengths_match(r, el) and _first_order_rigid(r):
+                return r
     return None
 
 
@@ -271,10 +215,11 @@ def build_type1_mirror(p_a, p_b, p_f, axis_point=(0.0, 0.0, 0.0),
 
     The reflected triangle pair no longer closes the BC and EF edges at
     their original lengths, so after reflecting, the assembly is re-closed:
-    first in the point-symmetric position (closed form), otherwise by
-    solving the two closure equations over the diagonal length and twist of
-    the reattached pair.  Raises DegenerateInput when no mirror assembly
-    closes at these edge lengths.
+    first in the point-symmetric position (closed form), otherwise by a
+    one-variable solve in the diagonal length |AD|: the edges BF, BC and EC
+    fix the twists of B, C and E about AD, and EF is the one closure
+    equation left.  Raises DegenerateInput when no mirror assembly closes at
+    these edge lengths.
     """
     direct = build_type1(p_a, p_b, p_f, axis_point, axis_direction)
     el = edge_lengths(direct)
@@ -290,10 +235,11 @@ def build_type1_mirror(p_a, p_b, p_f, axis_point=(0.0, 0.0, 0.0),
 
     chi1 = _chirality(direct, ("B", "F", "D"))
     chi2 = _chirality(direct, ("C", "E", "D"))
-    # in the chain frame sign(sin th_B) = -chi1 reproduces the first
-    # tetrahedron; sign(sin delta) = -chi2 flips the second (the mirror)
+    # in the AD frame of _mirror_general, sign(sin th_B) = -chi1 reproduces
+    # the first tetrahedron; sign(sin(th_E - th_C)) = -chi2 flips the second
+    # (the mirror)
     r = _mirror_general(el, sgn_b=-chi1, sgn_delta=-chi2)
-    if r is not None and _lengths_match(r, el):
+    if r is not None:
         try:
             check_facets(r)
             return r
@@ -395,7 +341,6 @@ def build_type3_flat(p_a, p_b, p_c, interior_point,
     except ValueError as exc:
         raise DegenerateInput(str(exc)) from None
 
-    from .octahedron import flat_angle_product
     residual = abs(flat_angle_product(r) - 1.0)
 
     construction = Type3Construction(

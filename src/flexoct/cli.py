@@ -184,7 +184,7 @@ def _validate_payload(command: str, raw: dict) -> tuple[dict, list[str]]:
                                                ("A", "B", "C"), dim=2)
         payload["interior_point"] = _require_vec(raw.get("interior_point"),
                                                  "interior_point", 2)
-    elif command in ("classify", "flex"):
+    elif command == "classify":
         positions = raw.get("positions")
         lengths = raw.get("edge_lengths")
         if positions is not None:
@@ -203,11 +203,13 @@ def _validate_payload(command: str, raw: dict) -> tuple[dict, list[str]]:
                                           "must be a finite positive number")
                 vals[k] = float(v)
             payload["edge_lengths"] = vals
-        elif command == "classify":
+        else:
             raise ValidationError("positions", "classify needs positions or edge_lengths")
-        if command == "flex":
-            if "positions" not in payload and "source" not in raw:
-                raise ValidationError("positions", "flex needs positions or a source job")
+    elif command == "flex":
+        if raw.get("positions") is not None:
+            payload["positions"] = _validate_points(raw["positions"], "positions", VERTICES)
+        elif "source" not in raw:
+            raise ValidationError("positions", "flex needs positions or a source job")
     elif command == "fourbar":
         payload["sides"] = _require_vec(raw.get("sides"), "sides", 4)
         if any(s <= 0 for s in payload["sides"]):
@@ -303,10 +305,16 @@ def read_obj(path) -> Realization:
         text = Path(path).read_text()
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    for line in text.splitlines():
+    for n, line in enumerate(text.splitlines(), 1):
         parts = line.split()
         if parts and parts[0] == "v":
-            pts.append([float(p) for p in parts[1:4]])
+            try:
+                x, y, z = map(float, parts[1:4])
+            except ValueError:
+                raise IoError(f"{path}: line {n}: expected three vertex coordinates") from None
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise IoError(f"{path}: line {n}: non-finite vertex coordinate")
+            pts.append([x, y, z])
     if len(pts) != 6:
         raise IoError(f"{path}: expected 6 vertices, found {len(pts)}")
     return Realization(np.array(pts))
@@ -567,6 +575,11 @@ def main(argv=None) -> int:
 
     try:
         spec = load_spec(args.spec)
+        for i, job in enumerate(spec if isinstance(spec, list) else [spec]):
+            if job.command != args.command:
+                where = f"sweep case {i}" if isinstance(spec, list) else "spec file"
+                raise ValidationError("command", f"{where} says {job.command!r}, "
+                                                 f"expected {args.command!r}")
     except (ParseError, ValidationError, IoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _write_summary(Path(args.out or "flexoct_out"), {
@@ -575,19 +588,9 @@ def main(argv=None) -> int:
         return 1
 
     if isinstance(spec, list):
-        for i, job in enumerate(spec):
-            if job.command != args.command:
-                print(f"error: sweep case {i} has command {job.command!r}, "
-                      f"expected {args.command!r}", file=sys.stderr)
-                return 1
         base = Path(args.out or "flexoct_out")
         codes = [run(job, base / f"case_{i:03d}", args) for i, job in enumerate(spec)]
         return max(codes) if codes else 0
-
-    if spec.command != args.command:
-        print(f"error: spec file says command {spec.command!r}, "
-              f"received {args.command!r}", file=sys.stderr)
-        return 1
     return run(spec, args.out, args)
 
 

@@ -29,8 +29,8 @@ import numpy as np
 
 from .octahedron import (EDGE_INCIDENCE, FACET_NAMES, FACET_VERTS, VERTICES,
                          Realization, all_dihedrals, canonical_edge,
-                         coplanarity_measure, dihedral_angle, dot_rows,
-                         edge_length_array, edge_vectors, row_norms)
+                         check_facets, coplanarity_measure, dihedral_angle,
+                         dot_rows, edge_length_array, edge_vectors, row_norms)
 
 
 class NotFlexible(ValueError):
@@ -473,12 +473,14 @@ def make_frame(r: Realization, arc: float, target_len: np.ndarray,
 def flex_path(r0: Realization, drive: DriveSpec = DriveSpec()) -> FlexionPath:
     """Trace a deformation from r0 that keeps r0's edge lengths.
 
-    Raises NotFlexible when the start has no flex.  A corrector failure
+    Raises DegenerateFacet when a facet of r0 has (near-)zero area and
+    NotFlexible when the start has no flex.  A corrector failure
     after step reduction to the floor raises ContinuationStall carrying the
     partial path; a tangent-space ambiguity (at a flat start, a null space
     other than the three out-of-plane directions) raises BranchAmbiguity
     the same way.
     """
+    check_facets(r0)
     sys = _System(r0, drive.pin)
     x = r0.flat_vector()
     null, pinv, stresses = sys.null_space(x, drive.rank_tol)

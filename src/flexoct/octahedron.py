@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linkage import FaceAngles
+from .linkage import PRODUCT, FaceAngles, unicursal_constants
 
 VERTICES = ("A", "B", "C", "D", "E", "F")
 _VIDX = {v: i for i, v in enumerate(VERTICES)}
@@ -362,8 +362,6 @@ def flat_angle_product(r: Realization) -> float:
 
     with all angles read off the flat figure.
     """
-    from .linkage import unicursal_constants, PRODUCT
-
     # tracked edges: t on BC, u on CA, v on AB
     # A relates (v, u), B relates (t, v), C relates (t, u)
     specs = {"A": ("B", "C"), "B": ("C", "A"), "C": ("B", "A")}

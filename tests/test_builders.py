@@ -84,13 +84,15 @@ class TestType1Mirror:
 
     def test_reattachment_solver_branch(self):
         """Inputs whose point-symmetric closed form does not exist: the
-        mirror is re-closed by solving over the diagonal length and twist."""
+        mirror is re-closed by a scan over the diagonal length |AD|."""
         from flexoct.builders import _mirror_central
         cases = (
             ((-0.7456, 0.4785, -0.6087), (-0.8762, 0.1968, 0.7915),
              (-0.9461, 0.6103, -0.6197)),
             ((-0.5098, 0.6904, 0.4836), (0.0916, 0.323, 0.3846),
              (0.5621, 0.855, -0.7005)),
+            ((-0.3696, 0.4392, -0.9293), (-0.9282, -0.9102, 0.7369),
+             (-0.3325, -0.3625, 0.5867)),
         )
         for pa, pb, pf in cases:
             el = edge_lengths(build_type1(pa, pb, pf))

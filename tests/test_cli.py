@@ -2,14 +2,15 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from flexoct import cli
 from flexoct.builders import build_type1
-from flexoct.cli import (JobSpec, ParseError, ValidationError, export_frames,
-                         load_spec, read_obj, write_obj)
+from flexoct.cli import (IoError, JobSpec, ParseError, ValidationError,
+                         export_frames, load_spec, read_obj, write_obj)
 from flexoct.flexion import DriveSpec, FlexionPath, flex_path
 from flexoct.octahedron import (EDGE_ORDER, Realization, edge_lengths,
                                 regular_octahedron)
@@ -83,6 +84,15 @@ class TestObjRoundTrip:
         el1 = edge_lengths(read_obj(tmp_path / "frame.obj"))
         for e in EDGE_ORDER:
             assert abs(el1[e] - el0[e]) <= 1e-9 * el0[e]
+
+    def test_short_vertex_line_rejected(self, tmp_path):
+        p = tmp_path / "frame.obj"
+        write_obj(regular_octahedron(), p)
+        lines = p.read_text().splitlines()
+        lines[3] = "v 0.5 0.25"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IoError, match="frame.obj"):
+            read_obj(p)
 
     def test_face_block(self, tmp_path):
         write_obj(regular_octahedron(), tmp_path / "frame.obj")
@@ -181,8 +191,54 @@ class TestRun:
 
     def test_command_mismatch(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"command": "fourbar", "sides": [1, 1, 1, 1]})
-        assert cli.main(["classify", "--spec", str(spec)]) == 1
+        assert cli.main(["classify", "--spec", str(spec),
+                         "--out", str(tmp_path / "o")]) == 1
         assert "fourbar" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", [
+        {"command": "fourbar", "sides": [1, 1, 1, 1]},
+        [{"command": "classify", "edge_lengths": {e: 1.0 for e in EDGE_ORDER}},
+         {"command": "fourbar", "sides": [1, 1, 1, 1]}],
+    ], ids=["single", "sweep"])
+    def test_command_mismatch_writes_summary(self, tmp_path, raw):
+        spec = write_spec(tmp_path, raw)
+        code = cli.main(["classify", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert code == 1
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["status"] == "error"
+        assert summary["error"]["type"] == "ValidationError"
+        assert summary["error"]["message"].startswith("command:")
+        assert "fourbar" in summary["error"]["message"]
+        assert not (tmp_path / "o" / "case_000").exists()
+
+    def test_flex_coincident_vertices(self, tmp_path):
+        """A zero-length edge is a named input error before any solve."""
+        positions = regular_octahedron().as_dict()
+        positions["D"] = positions["B"]
+        spec = write_spec(tmp_path, {"command": "flex", "positions": positions})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["flex", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert code == 1
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["status"] == "error"
+        assert summary["error"]["type"] == "DegenerateFacet"
+
+    def test_verify_frames_dir_rejects_non_finite_vertex(self, tmp_path):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        write_obj(regular_octahedron(), frames / "frame_0000.obj")
+        bad = frames / "frame_0001.obj"
+        write_obj(regular_octahedron(), bad)
+        lines = bad.read_text().splitlines()
+        lines[1] = "v nan 0 0"
+        bad.write_text("\n".join(lines) + "\n")
+        spec = write_spec(tmp_path, {"command": "verify", "frames_dir": str(frames)})
+        code = cli.main(["verify", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert code == 1
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["error"]["type"] == "IoError"
+        assert "frame_0001.obj" in summary["error"]["message"]
 
     def test_classify_by_lengths(self, tmp_path):
         spec = write_spec(tmp_path, {
