@@ -97,6 +97,8 @@ _DRIVE_COUNTS = ("max_steps", "max_newton")
 _DRIVE_SCALES = ("initial_step", "max_step", "min_step_factor", "corrector_tol",
                  "rank_tol", "flat_event_tol")
 _DRIVE_FLAGS = ("refine_flat_events", "track_facet_crossings")
+# the four-bar coefficients square sums of three sides; this keeps them finite
+_FOURBAR_SIDE_MAX = math.sqrt(sys.float_info.max) / 4.0
 
 
 def _validate_drive(raw) -> dict:
@@ -125,8 +127,10 @@ def _validate_drive(raw) -> dict:
         raise ValidationError("drive.direction", "must be 1 or -1")
     if "stop_after_flat_events" in drive and not (
             drive["stop_after_flat_events"] is None
-            or _is_int(drive["stop_after_flat_events"])):
-        raise ValidationError("drive.stop_after_flat_events", "must be an integer or null")
+            or _is_int(drive["stop_after_flat_events"])
+            and drive["stop_after_flat_events"] > 0):
+        raise ValidationError("drive.stop_after_flat_events",
+                              "must be a positive integer or null")
     if "edge" in drive:
         edge = drive["edge"]
         if (not isinstance(edge, str) or len(edge) != 2
@@ -135,6 +139,8 @@ def _validate_drive(raw) -> dict:
     if "dihedral_range" in drive:
         drive["dihedral_range"] = tuple(
             _require_vec(drive["dihedral_range"], "drive.dihedral_range", 2))
+        if not drive["dihedral_range"][0] < drive["dihedral_range"][1]:
+            raise ValidationError("drive.dihedral_range", "expected [low, high] with low < high")
     if "pin" in drive:
         pin = drive["pin"]
         if (not isinstance(pin, (list, tuple)) or len(pin) != 3
@@ -214,6 +220,9 @@ def _validate_payload(command: str, raw: dict) -> tuple[dict, list[str]]:
         payload["sides"] = _require_vec(raw.get("sides"), "sides", 4)
         if any(s <= 0 for s in payload["sides"]):
             raise ValidationError("sides", "sides must be positive")
+        if max(payload["sides"]) > _FOURBAR_SIDE_MAX:
+            raise ValidationError("sides", f"sides must be at most {_FOURBAR_SIDE_MAX:.4g}: "
+                                           "the coefficients square sums of three sides")
     elif command == "verify":
         if "frames_dir" in raw:
             if not isinstance(raw["frames_dir"], str):
@@ -387,7 +396,9 @@ def _write_summary(out_dir: Path, summary: dict) -> None:
 
 
 def _realization_report(r: Realization) -> dict:
-    el = octahedron.edge_lengths(r, check=False)
+    """Edge lengths, rigidity and family matches; raises DegenerateFacet for
+    a realization with a (near-)zero-area facet."""
+    el = octahedron.edge_lengths(r)
     rep = flexion.flex_dimension(r)
     cls = octahedron.classify_edge_lengths(
         el, flat=r if octahedron.coplanarity_measure(r) <= 1e-6 else None)

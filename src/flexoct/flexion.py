@@ -16,8 +16,12 @@ out-of-plane displacement is an infinitesimal flex.  A flat start's tangent
 is the common zero of the three self-stress quadratic forms (a genuine flex
 annihilates them), found in closed form from their conic pencils; the path
 launches with a second-order predictor.  Flat crossings met along a path are
-located by a golden-section search down to the corrector's resolution,
-sqrt(corrector_tol) of the diameter, and recorded as events, not failures.
+recorded as events, not failures.  The heights of the non-pinned vertices
+above the pin plane are odd about a crossing, so a step whose end heights
+point against its start heights brackets one.  The secant zero of the
+heights along that step's chord starts a Gauss-Newton solve of the edge
+constraints with the heights held at zero, where they are not degenerate;
+the flat configuration it converges to is inserted as the event frame.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from .octahedron import (EDGE_INCIDENCE, FACET_NAMES, FACET_VERTS, VERTICES,
                          Realization, all_dihedrals, canonical_edge,
                          check_facets, coplanarity_measure, dihedral_angle,
                          dot_rows, edge_length_array, edge_vectors, row_norms)
+
+
+_LINE_STEPS = 0.5 ** np.arange(13)  # the Gauss-Newton line search's step factors
 
 
 class NotFlexible(ValueError):
@@ -285,9 +292,16 @@ class _System:
         rows[3, i1], rows[4, i1], rows[5, i2] = e2, n, n
         rows[3:, i0] = -np.array([e2, n, n])
         self.pin_rows = rows.reshape(6, 18) / self.diam
+        # heights of the three other vertices above the pin plane, as rows on x
+        rows = np.zeros((3, 6, 3))
+        rows[np.arange(3), [i for i in range(6) if i not in (i0, i1, i2)]] = n
+        rows[:, i0] = -n
+        self.height_rows = rows.reshape(3, 18)
         # corrector effort: calls finished by the chord and by Gauss-Newton,
-        # and residual evaluations (a line-search stack counts once)
-        self.counts = {"chord_steps": 0, "gauss_newton_steps": 0, "residual_evals": 0}
+        # residual evaluations (a line-search stack counts once), and the
+        # flat solves run where the heights above the pin plane change sign
+        self.counts = {"chord_steps": 0, "gauss_newton_steps": 0, "residual_evals": 0,
+                       "flat_probes": 0}
 
     def edge_residual(self, x: np.ndarray) -> np.ndarray:
         """Relative squared-length errors, (..., 12), for coordinates (..., 18)."""
@@ -297,6 +311,20 @@ class _System:
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         rows = rigidity_matrix(Realization.from_flat(x)) / self.targets2[:, None]
         return np.vstack([rows, self.pin_rows])
+
+    def heights(self, x: np.ndarray) -> np.ndarray:
+        """Signed heights, (..., 3), of the three non-pinned vertices above the
+        pin plane, for coordinates (..., 18)."""
+        return x @ self.height_rows.T
+
+    def _newton_trials(self, x: np.ndarray, fv: np.ndarray, extra_rows: np.ndarray,
+                       residual) -> tuple[np.ndarray, np.ndarray]:
+        """The Gauss-Newton step from x on the constraints plus extra_rows,
+        scaled by 1, 1/2, ..., 1/4096, and its residuals, as one stack."""
+        jac = np.vstack([self.jacobian(x), extra_rows])
+        dx = np.linalg.lstsq(jac, -fv, rcond=None)[0]
+        trial = x + _LINE_STEPS[:, None] * dx
+        return trial, residual(trial)
 
     def correct(self, x_pred: np.ndarray, x_ref: np.ndarray, tau: np.ndarray,
                 h: float, tol: float, max_newton: int,
@@ -340,21 +368,45 @@ class _System:
                 return (x_new if sq_new < sq else x), True
 
         self.counts["gauss_newton_steps"] += 1
-        steps = 0.5 ** np.arange(13)
         x = x_pred.copy()
         fv = residual(x)
         for it in range(max_newton):
             met = it > 0 and np.max(np.abs(fv[:-1])) < tol
-            jac = np.vstack([self.jacobian(x), arc_row])
-            dx = np.linalg.lstsq(jac, -fv, rcond=None)[0]
-            trial = x + steps[:, None] * dx
-            ftrial = residual(trial)
+            trial, ftrial = self._newton_trials(x, fv, arc_row, residual)
             if met:
                 return (trial[0] if ftrial[0] @ ftrial[0] < fv @ fv else x), True
             lower = row_norms(ftrial[:-1]) < np.linalg.norm(fv)
-            k = int(np.argmax(lower)) if lower.any() else len(steps) - 1
+            k = int(np.argmax(lower)) if lower.any() else len(trial) - 1
             x, fv = trial[k], ftrial[k]
         return x, bool(np.max(np.abs(fv[:-1])) < tol)
+
+    def flatten(self, x: np.ndarray, tol: float, max_newton: int) -> tuple[np.ndarray, bool]:
+        """The flat realization nearest x with the target edge lengths.
+
+        Damped Gauss-Newton, with the line search of ``correct``, solves the
+        edge and pin constraints plus zero heights above the pin plane for
+        as long as some step lowers |f|.  With the heights held at zero the
+        edge constraints are not degenerate as they are near a flat point in
+        space, so the solve converges to rounding.
+        """
+        self.counts["flat_probes"] += 1
+        extra = self.height_rows / self.diam
+
+        def residual(x):
+            self.counts["residual_evals"] += 1
+            pins = (self.pin_rows @ (x - self.x0)[..., None])[..., 0]
+            return np.concatenate([self.edge_residual(x), pins, self.heights(x) / self.diam],
+                                  axis=-1)
+
+        fv = residual(x)
+        for _ in range(max_newton):
+            trial, ftrial = self._newton_trials(x, fv, extra, residual)
+            lower = row_norms(ftrial) < np.linalg.norm(fv)
+            if not lower.any():
+                break
+            k = int(np.argmax(lower))
+            x, fv = trial[k], ftrial[k]
+        return x, bool(np.max(np.abs(fv[:12])) < tol)
 
     def null_space(self, x: np.ndarray, rank_tol: float
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -533,60 +585,30 @@ def flex_path(r0: Realization, drive: DriveSpec = DriveSpec()) -> FlexionPath:
     h_floor = drive.initial_step * drive.min_step_factor
     arc = 0.0
     lo, hi = drive.dihedral_range
-    tangents = [tau]
+    heights = sys.heights(x)
 
-    def refine_flat(idx: int) -> int:
-        """Search the coplanarity dip bracketed around frame idx; insert the
-        minimizing frame and return the event frame index."""
-        base = path.frames[idx - 1]
-        t_base = tangents[idx - 1]
-        x_base = base.realization.flat_vector()
-        if idx + 1 < len(path.frames):
-            width = path.frames[idx + 1].arclength - base.arclength
-        else:
-            width = 2.0 * (path.frames[idx].arclength - base.arclength)
-        cache: dict[float, tuple[float, np.ndarray | None]] = {}
-
-        def probe(a: float) -> float:
-            if a not in cache:
-                xp = x_base + a * width * sys.diam * t_base
-                xq, ok = sys.correct(xp, x_base, t_base, a * width,
-                                     drive.corrector_tol, 2 * drive.max_newton)
-                cache[a] = ((coplanarity_measure(Realization.from_flat(xq)), xq)
-                            if ok else (math.inf, None))
-            return cache[a][0]
-
-        gr = (math.sqrt(5.0) - 1.0) / 2.0
-        a_lo, a_hi = 0.0, 1.0
-        c = a_hi - gr * (a_hi - a_lo)
-        d = a_lo + gr * (a_hi - a_lo)
-        fc, fd = probe(c), probe(d)
-        # out-of-plane coordinates enter the squared lengths quadratically
-        # near a flat point, so the corrector fixes them, and the measure,
-        # only to about sqrt(corrector_tol) of the diameter
-        while (a_hi - a_lo) * width > math.sqrt(drive.corrector_tol):
-            if fc < fd:
-                a_hi, d, fd = d, c, fc
-                c = a_hi - gr * (a_hi - a_lo)
-                fc = probe(c)
-            else:
-                a_lo, c, fc = c, d, fd
-                d = a_lo + gr * (a_hi - a_lo)
-                fd = probe(d)
-        a_best = c if fc < fd else d
-        m_best, x_best = cache[a_best]
-        if x_best is None or m_best >= path.frames[idx].flat_measure:
-            return idx
-        arc_best = base.arclength + float(np.linalg.norm(x_best - x_base)) / sys.diam
-        frame = make_frame(Realization.from_flat(x_best), arc_best, sys.target_len,
-                           drive.flat_event_tol)
-        insert_at = idx if arc_best <= path.frames[idx].arclength else idx + 1
-        path.frames.insert(insert_at, frame)
-        tangents.insert(insert_at, t_base)
-        for ev in path.events:
-            if ev.frame_index >= insert_at:
-                ev.frame_index += 1
-        return insert_at
+    def insert_flat(k: int) -> bool:
+        """Solve for the flat configuration where the heights above the pin
+        plane change sign between frames k - 1 and k, starting from the chord
+        point where their projection on frame k - 1's heights interpolates to
+        zero.  Insert it as frame k when it lies between the two frames."""
+        x_lo = path.frames[k - 1].realization.flat_vector()
+        x_hi = path.frames[k].realization.flat_vector()
+        h_lo = sys.heights(x_lo)
+        g_lo, g_hi = float(h_lo @ h_lo), float(sys.heights(x_hi) @ h_lo)
+        x_flat, ok = sys.flatten(x_lo + g_lo / (g_lo - g_hi) * (x_hi - x_lo),
+                                 drive.corrector_tol, 2 * drive.max_newton)
+        gap = float(np.linalg.norm(x_hi - x_lo))
+        to_lo = float(np.linalg.norm(x_flat - x_lo))
+        if not (ok and to_lo < gap and np.linalg.norm(x_flat - x_hi) < gap):
+            return False
+        frame = make_frame(Realization.from_flat(x_flat),
+                           path.frames[k - 1].arclength + to_lo / sys.diam,
+                           sys.target_len, drive.flat_event_tol)
+        if not frame.flat:
+            return False
+        path.frames.insert(k, frame)
+        return True
 
     step_count = 0
     while step_count < drive.max_steps:
@@ -630,25 +652,19 @@ def flex_path(r0: Realization, drive: DriveSpec = DriveSpec()) -> FlexionPath:
             tau_new = -tau_new
         tau = tau_new
         chord = np.column_stack([pinv, tau * sys.diam]) if null.shape[0] == 1 else None
-        x = x_new
-        tangents.append(tau)
+        heights_new = sys.heights(x_new)
+        crossed = float(heights_new @ heights) < 0.0
+        x, heights = x_new, heights_new
 
-        mid = len(path.frames) - 2
-        if (drive.refine_flat_events and mid >= 1
-                and path.frames[mid].flat_measure < 1e-2
-                and path.frames[mid].flat_measure < path.frames[mid - 1].flat_measure
-                and path.frames[mid].flat_measure <= path.frames[mid + 1].flat_measure
-                and not any(ev.kind == "flat" and abs(ev.frame_index - mid) <= 1
-                            for ev in path.events)):
-            ev_idx = refine_flat(mid)
-            measure = path.frames[ev_idx].flat_measure
-            if measure <= drive.flat_event_tol:
-                path.events.append(PathEvent("flat", ev_idx, {"measure": measure}))
-                flat_events += 1
-                if drive.stop_after_flat_events is not None \
-                        and flat_events >= drive.stop_after_flat_events:
-                    path.termination = "flat_event_target"
-                    break
+        k = len(path.frames) - 1
+        if drive.refine_flat_events and not path.frames[k - 1].flat and (
+                frame.flat or crossed and insert_flat(k)):
+            path.events.append(PathEvent("flat", k, {"measure": path.frames[k].flat_measure}))
+            flat_events += 1
+            if drive.stop_after_flat_events is not None \
+                    and flat_events >= drive.stop_after_flat_events:
+                path.termination = "flat_event_target"
+                break
 
         if crossings is not None:
             now = _facet_crossing_set(frame.realization)

@@ -224,6 +224,41 @@ class TestRun:
         assert summary["status"] == "error"
         assert summary["error"]["type"] == "DegenerateFacet"
 
+    def test_classify_coincident_vertices(self, tmp_path):
+        """classify rejects a collapsed facet as flex does, instead of
+        reporting a rigidity analysis of it."""
+        positions = regular_octahedron().as_dict()
+        positions["D"] = positions["B"]
+        spec = write_spec(tmp_path, {"command": "classify", "positions": positions})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["classify", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert code == 1
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["status"] == "error"
+        assert summary["error"]["type"] == "DegenerateFacet"
+        assert "realization" not in summary
+
+    @pytest.mark.parametrize("sides, code", [
+        ([1e308, 1e308, 1e308, 1e308], 1),
+        ([1, 1, 1, 1e160], 1),
+        ([1e150, 2e150, 1.5e150, 1e150], 0),
+    ])
+    def test_fourbar_huge_sides(self, tmp_path, sides, code):
+        """Sides whose squared sums overflow are a named input error with a
+        summary; large sides that do not overflow still run."""
+        spec = write_spec(tmp_path, {"command": "fourbar", "sides": sides})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cli.main(["fourbar", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert got == code
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        if code:
+            assert summary["error"]["type"] == "ValidationError"
+            assert "sides" in summary["error"]["message"]
+        else:
+            assert all(math.isfinite(c) for c in summary["coefficients"])
+
     def test_verify_frames_dir_rejects_non_finite_vertex(self, tmp_path):
         frames = tmp_path / "frames"
         frames.mkdir()
@@ -270,7 +305,8 @@ class TestRun:
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert summary["schema"] == 1
         counts = summary["corrector"]
-        assert set(counts) == {"chord_steps", "gauss_newton_steps", "residual_evals"}
+        assert set(counts) == {"chord_steps", "gauss_newton_steps", "residual_evals",
+                               "flat_probes"}
         assert all(isinstance(v, int) for v in counts.values())
         assert counts["chord_steps"] + counts["gauss_newton_steps"] >= 5
         header = (tmp_path / "o" / "path.csv").read_text().splitlines()[0]
@@ -319,6 +355,10 @@ class TestDriveValidation:
         ({"refine_flat_events": 1}, "drive.refine_flat_events"),
         ({"edge": "AD"}, "drive.edge"),
         ({"dihedral_range": [0, math.nan]}, "drive.dihedral_range"),
+        ({"dihedral_range": [2, -2]}, "drive.dihedral_range"),
+        ({"dihedral_range": [1, 1]}, "drive.dihedral_range"),
+        ({"stop_after_flat_events": -3}, "drive.stop_after_flat_events"),
+        ({"stop_after_flat_events": 0}, "drive.stop_after_flat_events"),
     ])
     def test_rejected(self, tmp_path, drive, field):
         spec = write_spec(tmp_path, {

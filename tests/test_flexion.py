@@ -201,6 +201,90 @@ class TestFlexPath:
         assert max(abs(got[e] - el[e]) / el[e] for e in el) <= 1e-9
 
 
+def abc_heights(path) -> np.ndarray:
+    """Heights of D, E, F above the plane of A, B, C, one row per frame,
+    from the frames' own coordinates."""
+    p = np.stack([f.realization.points for f in path.frames])
+    n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    return np.einsum("fvk,fk->fv", p[:, 3:] - p[:, :1], n)
+
+
+class TestFlatCrossings:
+    """Flat events against the heights of D, E, F above plane ABC: a path
+    crosses a flat configuration exactly where they change sign."""
+
+    @staticmethod
+    def assert_no_missed_crossing(path):
+        h = abc_heights(path)
+        events = {ev.frame_index for ev in path.flat_events()}
+        for j in np.nonzero(np.einsum("fv,fv->f", h[:-1], h[1:]) < 0.0)[0]:
+            assert j in events or j + 1 in events, \
+                f"heights change sign between frames {j} and {j + 1} without an event"
+        for ev in path.flat_events():
+            assert ev.info["measure"] <= path.drive.flat_event_tol
+            assert np.max(np.abs(h[ev.frame_index])) <= 1e-12
+
+    def test_example_second_event_is_first_crossing(self):
+        _, r = build_type3_flat(*EXAMPLE_T3)
+        path = flex_path(r, drive=TYPE3_DRIVE)
+        self.assert_no_missed_crossing(path)
+        flats = path.flat_events()
+        assert [ev.frame_index for ev in flats] == [0, 16]
+        h = abc_heights(path)
+        assert np.einsum("v,v", h[15], h[17]) < 0.0  # the event lies between them
+        event = path.frames[16]
+        assert path.frames[15].arclength < event.arclength < path.frames[17].arclength
+        assert abs(abs(event.dihedrals["BC"]) - math.pi) <= 1e-3
+        assert abs(event.dihedrals["AB"]) <= 1e-3
+        assert event.max_edge_deviation <= 1e-14
+
+    def test_every_crossing_recorded(self):
+        """Without a stop, each sign change of the heights is one event."""
+        _, r = build_type3_flat(*EXAMPLE_T3)
+        path = flex_path(r, drive=DriveSpec(max_steps=80, initial_step=0.01,
+                                            max_step=0.02))
+        self.assert_no_missed_crossing(path)
+        events = [ev.frame_index for ev in path.flat_events()]
+        h = np.delete(abc_heights(path), events, axis=0)
+        changes = int(np.sum(np.einsum("fv,fv->f", h[:-1], h[1:]) < 0.0))
+        assert changes == 5
+        assert events[0] == 0 and len(events) == 1 + changes
+        assert path.meta["corrector"]["flat_probes"] == changes
+
+    def test_sampled_shapes(self, rng):
+        from conftest import sample_type3_triangles
+        for pa, pb, pc in sample_type3_triangles(rng, 3):
+            _, r = build_type3_flat(pa, pb, pc, (pa + pb + pc) / 3.0)
+            path = flex_path(r, drive=TYPE3_DRIVE)
+            assert len(path.flat_events()) == 2
+            self.assert_no_missed_crossing(path)
+
+    def test_flatten(self, rng):
+        """The flat solve returns the planar realization with the target
+        lengths near its start, to rounding, and fails where none exists."""
+        _, r = build_type3_flat(*EXAMPLE_T3)
+        sys = _System(r, ("A", "B", "C"))
+        x0 = r.flat_vector()
+        start = x0 + rng.uniform(-1e-3, 1e-3, 18) * np.repeat([0, 0, 0, 1, 1, 1], 3)
+        x, ok = sys.flatten(start, 1e-12, 50)
+        assert ok
+        assert np.max(np.abs(x - x0)) <= 1e-12 * sys.diam
+        # all twelve edges equal: the regular octahedron has no flat realization
+        reg = regular_octahedron()
+        x, ok = _System(reg, ("A", "B", "C")).flatten(reg.flat_vector(), 1e-12, 50)
+        assert not ok
+        assert sys.counts["flat_probes"] == 1
+
+    def test_type1_path_has_no_flat_event(self):
+        """A type 1 path meets no flat configuration: no event and no flat
+        solve."""
+        path = flex_path(build_type1(*EXAMPLE_T1), drive=DriveSpec(max_steps=100))
+        self.assert_no_missed_crossing(path)
+        assert path.flat_events() == []
+        assert path.meta["corrector"]["flat_probes"] == 0
+
+
 class TestFacetCrossings:
     def test_regular_empty(self):
         assert facet_crossings(regular_octahedron()) == []
@@ -279,19 +363,22 @@ class TestCorrector:
         assert linalg_calls["svd"] <= 2 * frames + 2
 
     def test_flat_search_lstsq_per_frame(self, linalg_calls):
-        """The flat-event search stops at the corrector's resolution instead
-        of running a fixed 60 golden-section probes."""
+        """A flat crossing costs one flat solve, not a search of corrector
+        probes."""
         _, r = build_type3_flat(*EXAMPLE_T3)
         path = flex_path(r, drive=TYPE3_DRIVE)
         assert len(path.flat_events()) == 2
-        assert linalg_calls["lstsq"] <= 50 * len(path.frames)
+        assert path.meta["corrector"]["flat_probes"] == 1
+        assert linalg_calls["lstsq"] <= 6 * len(path.frames)
 
     def test_counts_in_meta(self):
         path = flex_path(build_type1(*EXAMPLE_T1), drive=DriveSpec(max_steps=20))
         counts = path.meta["corrector"]
-        assert set(counts) == {"chord_steps", "gauss_newton_steps", "residual_evals"}
+        assert set(counts) == {"chord_steps", "gauss_newton_steps", "residual_evals",
+                               "flat_probes"}
         assert all(isinstance(v, int) for v in counts.values())
         assert counts["chord_steps"] + counts["gauss_newton_steps"] >= 20
+        assert counts["flat_probes"] == 0
         assert counts["residual_evals"] > counts["chord_steps"]
 
 
