@@ -29,8 +29,8 @@ print(f"\nrank {rep.rank} of the rigidity matrix -> "
 print(f"intercrossing facet pairs (the concavity): {facet_crossings(r)}")
 
 path = flex_path(r, drive=DriveSpec(max_steps=150))
-dev = max(f.max_edge_deviation for f in path.frames)
-print(f"\ntraced {len(path.frames)} frames, max relative edge drift {dev:.2e}")
+dev = path.edge_deviation.max()
+print(f"\ntraced {len(path.arclength)} frames, max relative edge drift {dev:.2e}")
 print("dihedral sweep along the path (radians):")
 for e in ("BC", "CA", "AB"):
     s = np.unwrap(path.dihedral_series(e))

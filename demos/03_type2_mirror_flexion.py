@@ -10,7 +10,8 @@ motion.
 import numpy as np
 
 from flexoct import DriveSpec, build_type2, edge_lengths, flex_dimension, flex_path
-from flexoct.octahedron import classify_edge_lengths, reflection_pairing_residual
+from flexoct.octahedron import (Realization, classify_edge_lengths,
+                                reflection_pairing_residual)
 
 C, F = (0, 0, 1), (0.2, 0, -1)
 A, E = (1, 0.7, 0.3), (-0.9, 0.5, -0.2)
@@ -29,9 +30,9 @@ print(f"flex dimension: {flex_dimension(r).flex_dimension}")
 
 path = flex_path(r, drive=DriveSpec(max_steps=150))
 mapping = {"A": "D", "D": "A", "B": "E", "E": "B", "C": "C", "F": "F"}
-sym = max(reflection_pairing_residual(f.realization, mapping) for f in path.frames)
-dev = max(f.max_edge_deviation for f in path.frames)
-print(f"\ntraced {len(path.frames)} frames: edge drift {dev:.2e}, "
+sym = max(reflection_pairing_residual(Realization(p), mapping) for p in path.points)
+dev = path.edge_deviation.max()
+print(f"\ntraced {len(path.arclength)} frames: edge drift {dev:.2e}, "
       f"mirror-symmetry defect {sym:.2e}")
 
 d_bc = np.unwrap(path.dihedral_series("BC"))

@@ -37,14 +37,13 @@ for v in VERTICES:
 
 path = flex_path(flat, drive=DriveSpec(max_steps=2000, initial_step=0.01,
                                        max_step=0.02, stop_after_flat_events=2))
-measures = [f.flat_measure for f in path.frames]
-print(f"\ncontinuation: {len(path.frames)} frames, termination "
+print(f"\ncontinuation: {len(path.arclength)} frames, termination "
       f"'{path.termination}'")
-print(f"left the plane up to measure {max(measures):.4f}, then flattened again:")
+print(f"left the plane up to measure {path.flat_measure.max():.4f}, then flattened again:")
 for ev in path.flat_events():
     print(f"  flat event at frame {ev.frame_index}: measure {ev.info['measure']:.2e}")
 print(f"edge drift along the way: "
-      f"{max(f.max_edge_deviation for f in path.frames):.2e}")
+      f"{path.edge_deviation.max():.2e}")
 
 files = export_frames(path, "out_type3")
 print(f"wrote {len(files) - 1} OBJ frames + path.csv under out_type3/")

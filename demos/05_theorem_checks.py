@@ -10,17 +10,16 @@ straight line.
 
 from flexoct import DriveSpec, build_type1, flex_path
 from flexoct.verifiers import (dihedral_cos_line_fit, hexagon_traces,
-                               mannheim_point, opposite_dihedral_trace,
+                               mannheim_residuals, opposite_dihedral_trace,
                                vertex_opposite_pairs)
 
 r = build_type1((1, 0, 0.5), (0.1, 1, -0.4), (0.7, -0.8, 0.1))
 path = flex_path(r, drive=DriveSpec(max_steps=120))
-print(f"path of {len(path.frames)} frames\n")
+print(f"path of {len(path.arclength)} frames\n")
 
 print("concurrency point on the opposite facet plane (normalized residual):")
 for base in ("ABC", "DEF"):
-    worst = max(mannheim_point(f.realization, base=base).residual
-                for f in path.frames)
+    worst = mannheim_residuals(path.points, base=base).max()
     print(f"  base {base}: max residual {worst:.2e}")
 
 print("\nthe four hexagons keep sides and interior angles:")

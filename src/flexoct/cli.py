@@ -96,6 +96,10 @@ def _require_vec(obj, field: str, n: int) -> list[float]:
 _DRIVE_COUNTS = ("max_steps", "max_newton")
 _DRIVE_SCALES = ("initial_step", "max_step", "min_step_factor", "corrector_tol",
                  "rank_tol", "flat_event_tol")
+# relative tolerances: at 1 or above, corrector_tol accepts any frame, rank_tol
+# counts every direction as a flex and flat_event_tol every frame as flat
+_DRIVE_TOLS = ("corrector_tol", "rank_tol", "flat_event_tol")
+_SPEC_TOLS = ("corrector", "rank", "flat")
 _DRIVE_FLAGS = ("refine_flat_events", "track_facet_crossings")
 # the four-bar coefficients square sums of three sides; this keeps them finite
 _FOURBAR_SIDE_MAX = math.sqrt(sys.float_info.max) / 4.0
@@ -119,6 +123,9 @@ def _validate_drive(raw) -> dict:
             if not _is_positive(drive[name]):
                 raise ValidationError(f"drive.{name}", "must be a finite positive number")
             drive[name] = float(drive[name])
+    for name in _DRIVE_TOLS:
+        if name in drive and not drive[name] < 1.0:
+            raise ValidationError(f"drive.{name}", "must be below 1")
     for name in _DRIVE_FLAGS:
         if name in drive and not isinstance(drive[name], bool):
             raise ValidationError(f"drive.{name}", "must be true or false")
@@ -264,6 +271,8 @@ def _job_from_dict(raw: dict) -> JobSpec:
     for k, v in tolerances.items():
         if not _is_positive(v):
             raise ValidationError(f"tolerances.{k}", "must be a finite positive number")
+        if k in _SPEC_TOLS and not v < 1.0:
+            raise ValidationError(f"tolerances.{k}", "must be below 1")
     payload, warns = _validate_payload(command, raw)
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
@@ -342,13 +351,14 @@ def export_frames(path: flexion.FlexionPath, out_dir) -> list[str]:
         raise IoError(str(exc)) from exc
     written = []
     rows = [",".join(_CSV_HEADER)]
-    for i, frame in enumerate(path.frames):
+    columns = zip(path.points, path.arclength.tolist(), path.dihedrals.tolist(),
+                  path.edge_deviation.tolist(), path.flat.tolist())
+    for i, (points, arc, dihedrals, dev, flat) in enumerate(columns):
         name = f"frame_{i:04d}.obj"
-        write_obj(frame.realization, out / name)
+        write_obj(Realization(points), out / name)
         written.append(name)
-        row = [str(i), repr(frame.arclength)]
-        row += [repr(frame.dihedrals[e]) for e in EDGE_ORDER]
-        row += [repr(frame.max_edge_deviation), "1" if frame.flat else "0"]
+        row = [str(i), repr(arc)] + [repr(d) for d in dihedrals]
+        row += [repr(dev), "1" if flat else "0"]
         rows.append(",".join(row))
     csv_name = "path.csv"
     try:
@@ -364,14 +374,12 @@ def _load_frames_dir(frames_dir) -> flexion.FlexionPath:
     objs = sorted(Path(frames_dir).glob("frame_*.obj"))
     if not objs:
         raise IoError(f"no frame_*.obj files under {frames_dir}")
-    reals = [read_obj(p) for p in objs]
-    target_len = octahedron.edge_length_array(reals[0].points)
-    frames = []
-    arc = 0.0
-    for prev, r in zip([reals[0]] + reals, reals):
-        arc += float(np.linalg.norm(r.points - prev.points)) / prev.diameter()
-        frames.append(flexion.make_frame(r, arc, target_len, 1e-6))
-    return flexion.FlexionPath(frames=frames, termination="imported")
+    points = np.stack([read_obj(p).points for p in objs])
+    steps = octahedron.row_norms(np.diff(points, axis=0).reshape(-1, 18))
+    arc = np.cumsum(np.concatenate([[0.0], steps / octahedron.diameter_array(points[:-1])]))
+    return flexion.FlexionPath.from_points(
+        points, arc, octahedron.edge_length_array(points[0]),
+        octahedron.coplanarity_array(points), 1e-6, termination="imported")
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +462,12 @@ def _drive_from_payload(job: JobSpec, overrides) -> flexion.DriveSpec:
 def _verify_report(path_obj: flexion.FlexionPath) -> dict:
     traces = verifiers.opposite_dihedral_trace(path_obj)
     hexes = verifiers.hexagon_traces(path_obj)
-    mannheim = {"ABC": [], "DEF": []}
-    for frame in path_obj.frames:
-        for base in ("ABC", "DEF"):
-            try:
-                res = verifiers.mannheim_point(frame.realization, base=base)
-                mannheim[base].append(res.residual)
-            except verifiers.NearParallelPlanes:
-                mannheim[base].append(None)
+    mannheim = {}
+    for base in ("ABC", "DEF"):
+        res = verifiers.mannheim_residuals(path_obj.points, base)
+        kept = res[~np.isnan(res)]  # nan where the planes are near parallel
+        mannheim[base] = {"max": float(kept.max()) if kept.size else None,
+                          "skipped_frames": int(res.size - kept.size)}
     fits = []
     if len(path_obj.frames) >= 3:
         for v in VERTICES:
@@ -476,10 +482,7 @@ def _verify_report(path_obj: flexion.FlexionPath) -> dict:
         "hexagons": [{"hexagon": h.hexagon,
                       "max_side_variation": h.max_side_variation,
                       "max_angle_variation": h.max_angle_variation} for h in hexes],
-        "mannheim_residuals": {
-            base: {"max": max((v for v in vals if v is not None), default=None),
-                   "skipped_frames": sum(1 for v in vals if v is None)}
-            for base, vals in mannheim.items()},
+        "mannheim_residuals": mannheim,
         "cosine_line_fits": fits,
     }
 
@@ -538,6 +541,7 @@ def run(job: JobSpec, out_dir=None, overrides=None) -> int:
                 drive = _drive_from_payload(job, overrides)
                 path_obj = flexion.flex_path(r, drive)
             summary["frames"] = len(path_obj.frames)
+            summary["max_edge_deviation"] = float(np.max(path_obj.edge_deviation))
             summary["termination"] = path_obj.termination
             if "corrector" in path_obj.meta:
                 summary["corrector"] = path_obj.meta["corrector"]
@@ -558,6 +562,7 @@ def run(job: JobSpec, out_dir=None, overrides=None) -> int:
         partial = getattr(exc, "partial", None)
         if partial is not None:
             summary["frames"] = len(partial.frames)
+            summary["max_edge_deviation"] = float(np.max(partial.edge_deviation))
             summary["corrector"] = partial.meta["corrector"]
             summary["files"] = export_frames(partial, out)
         _write_summary(out, summary)

@@ -22,19 +22,30 @@ point against its start heights brackets one.  The secant zero of the
 heights along that step's chord starts a Gauss-Newton solve of the edge
 constraints with the heights held at zero, where they are not degenerate;
 the flat configuration it converges to is inserted as the event frame.
+
+A traced path is a FlexionPath of columns, one row per frame: the points,
+arc lengths, twelve dihedrals, edge deviations and coplanarity measures.  A
+continuation step records only the point, its arc length and its
+coplanarity measure (the flat test); the dihedrals and edge deviations of
+all frames come from one batched pass over the stacked points when the path
+returns or raises.  ``FlexionPath.frames`` is a read-only per-row view.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .octahedron import (EDGE_INCIDENCE, FACET_NAMES, FACET_VERTS, VERTICES,
-                         Realization, all_dihedrals, canonical_edge,
-                         check_facets, coplanarity_measure, dihedral_angle,
+from .octahedron import (EDGE_INCIDENCE, EDGE_ORDER, FACET_NAMES, FACET_VERTS,
+                         VERTICES, Realization, canonical_edge, check_facets,
+                         coplanarity_measure, dihedral_angle, dihedral_array,
                          dot_rows, edge_length_array, edge_vectors, row_norms)
+# no longer called here; kept bound because the benchmark's span tracer test
+# checks that it patches this module's binding of all_dihedrals too
+from .octahedron import all_dihedrals  # noqa: F401
 
 
 _LINE_STEPS = 0.5 ** np.arange(13)  # the Gauss-Newton line search's step factors
@@ -98,9 +109,10 @@ class DriveSpec:
 
 @dataclass(frozen=True)
 class PathFrame:
+    """One row of a FlexionPath, for readers that take a path frame by frame."""
+
     realization: Realization
     arclength: float
-    dihedrals: dict[str, float]
     max_edge_deviation: float
     flat_measure: float
     flat: bool
@@ -113,20 +125,63 @@ class PathEvent:
     info: dict
 
 
-@dataclass
+class _Frames(Sequence):
+    """Read-only per-row view of a FlexionPath's columns."""
+
+    def __init__(self, path: "FlexionPath"):
+        self._path = path
+
+    def __len__(self) -> int:
+        return len(self._path.arclength)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        if isinstance(i, range):
+            return [self[k] for k in i]
+        p = self._path
+        return PathFrame(Realization(p.points[i]), float(p.arclength[i]),
+                         float(p.edge_deviation[i]), float(p.flat_measure[i]),
+                         bool(p.flat[i]))
+
+
+@dataclass(eq=False)
 class FlexionPath:
-    frames: list[PathFrame]
+    """A traced path as columns, one row per frame: ``points`` (n, 6, 3),
+    ``arclength`` (n,) in units of the diameter, ``dihedrals`` (n, 12) in
+    EDGE_ORDER, ``edge_deviation`` (n,), the largest relative deviation from
+    the target edge lengths, ``flat_measure`` (n,), the coplanarity measure,
+    and ``flat`` (n,), where that measure is within the flat tolerance."""
+
+    points: np.ndarray
+    arclength: np.ndarray
+    dihedrals: np.ndarray
+    edge_deviation: np.ndarray
+    flat_measure: np.ndarray
+    flat: np.ndarray
     events: list[PathEvent] = field(default_factory=list)
     termination: str = ""
     drive: DriveSpec | None = None
     meta: dict = field(default_factory=dict)
 
-    def arclengths(self) -> np.ndarray:
-        return np.array([f.arclength for f in self.frames])
+    @classmethod
+    def from_points(cls, points, arclength, target_len: np.ndarray, flat_measure,
+                    flat_tol: float, **info) -> "FlexionPath":
+        """The path through stacked points, (n, 6, 3), with its dihedrals and
+        its edge deviations from target_len (EDGE_ORDER) computed in one
+        batched pass; ``info`` fills the remaining fields."""
+        points = np.asarray(points, dtype=float).reshape(-1, 6, 3)
+        lens = edge_length_array(points)
+        measure = np.asarray(flat_measure, dtype=float)
+        return cls(points, np.asarray(arclength, dtype=float), dihedral_array(points),
+                   np.max(np.abs(lens - target_len) / target_len, axis=-1),
+                   measure, measure <= flat_tol, **info)
+
+    @property
+    def frames(self) -> Sequence[PathFrame]:
+        return _Frames(self)
 
     def dihedral_series(self, edge: str) -> np.ndarray:
-        e = canonical_edge(edge[0], edge[1])
-        return np.array([f.dihedrals[e] for f in self.frames])
+        return self.dihedrals[:, EDGE_ORDER.index(canonical_edge(edge[0], edge[1]))]
 
     def flat_events(self) -> list[PathEvent]:
         return [ev for ev in self.events if ev.kind == "flat"]
@@ -481,45 +536,40 @@ def _common_quadric_zero(mats: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _flat_start_tangent(sys: _System, x0: np.ndarray, null: np.ndarray,
-                        stresses: np.ndarray, drive: DriveSpec) -> tuple[np.ndarray, np.ndarray]:
+                        stresses: np.ndarray, drive: DriveSpec
+                        ) -> tuple[np.ndarray, np.ndarray, float]:
     """Second-order tangent and acceleration for leaving a flat configuration
-    with a three-dimensional null space and its three self-stresses."""
+    with a three-dimensional null space and its three self-stresses, and the
+    step at which one of them first corrects: drive.initial_step, halved
+    down to its floor while no direction corrects."""
     mats = [sys.stress_quadric(lam[:12], null) for lam in stresses]
-    h = drive.initial_step
-    best = None
+    dirs = []
     for u in _common_quadric_zero(mats):
         v = null.T @ u
         v = v / np.linalg.norm(v)
-        acc = sys.acceleration(x0, v)
-        step = h * sys.diam
-        x_pred = x0 + step * v + 0.5 * step * step * acc
-        x_new, ok = sys.correct(x_pred, x0, v, h, drive.corrector_tol,
-                                2 * drive.max_newton)
-        if not ok:
-            continue
-        corr = float(np.linalg.norm(x_new - x_pred))
-        if best is None or corr < best[0]:
-            best = (corr, v, acc)
-    if best is None:
-        raise NotFlexible("flat configuration has no finite flex "
-                          "(no first-order flex extends to second order)")
-    return best[1], best[2]
+        dirs.append((v, sys.acceleration(x0, v)))
+    h = drive.initial_step
+    while dirs and h >= drive.initial_step * drive.min_step_factor:
+        best = None
+        for v, acc in dirs:
+            step = h * sys.diam
+            x_pred = x0 + step * v + 0.5 * step * step * acc
+            x_new, ok = sys.correct(x_pred, x0, v, h, drive.corrector_tol,
+                                    2 * drive.max_newton)
+            if not ok:
+                continue
+            corr = float(np.linalg.norm(x_new - x_pred))
+            if best is None or corr < best[0]:
+                best = (corr, v, acc)
+        if best is not None:
+            return best[1], best[2], h
+        h *= 0.5
+    raise NotFlexible("flat configuration has no finite flex "
+                      "(no first-order flex extends to second order)")
 
 
 def _wrap_angle(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
-
-
-def make_frame(r: Realization, arc: float, target_len: np.ndarray,
-               flat_tol: float) -> PathFrame:
-    """Path frame of r: dihedrals, the largest relative deviation from the
-    target edge lengths (EDGE_ORDER), and the coplanarity measure."""
-    lens = edge_length_array(r.points)
-    dev = float(np.max(np.abs(lens - target_len) / target_len))
-    measure = coplanarity_measure(r)
-    return PathFrame(realization=r, arclength=arc,
-                     dihedrals=all_dihedrals(r), max_edge_deviation=dev,
-                     flat_measure=measure, flat=measure <= flat_tol)
 
 
 def flex_path(r0: Realization, drive: DriveSpec = DriveSpec()) -> FlexionPath:
@@ -531,6 +581,10 @@ def flex_path(r0: Realization, drive: DriveSpec = DriveSpec()) -> FlexionPath:
     partial path; a tangent-space ambiguity (at a flat start, a null space
     other than the three out-of-plane directions) raises BranchAmbiguity
     the same way.
+
+    Each step keeps only what the continuation reads: the accepted point,
+    its arclength and its coplanarity measure.  The other columns of the
+    path are built from the stacked points once, when it returns or raises.
     """
     check_facets(r0)
     sys = _System(r0, drive.pin)
@@ -538,34 +592,43 @@ def flex_path(r0: Realization, drive: DriveSpec = DriveSpec()) -> FlexionPath:
     null, pinv, stresses = sys.null_space(x, drive.rank_tol)
     if null.shape[0] == 0:
         raise NotFlexible("flex dimension 0: the pinned Jacobian has full rank")
-    path = FlexionPath(frames=[], drive=drive, meta={
+    meta = {
         "corrector_tol": drive.corrector_tol,
         "max_newton": drive.max_newton,
         "rank_tol": drive.rank_tol,
         "initial_step": drive.initial_step,
         "min_step_factor": drive.min_step_factor,
         "pin": list(drive.pin),
-        "corrector": sys.counts})
-    frame0 = make_frame(r0, 0.0, sys.target_len, drive.flat_event_tol)
-    path.frames.append(frame0)
+        "corrector": sys.counts}
+    xs, arcs, measures = [x], [0.0], [coplanarity_measure(r0)]
+    events: list[PathEvent] = []
+
+    def path(termination: str) -> FlexionPath:
+        return FlexionPath.from_points(xs, arcs, sys.target_len, measures,
+                                       drive.flat_event_tol, events=events,
+                                       termination=termination, drive=drive, meta=meta)
+
+    def flat(k: int) -> bool:
+        return measures[k] <= drive.flat_event_tol
+
     flat_events = 0
-    if frame0.flat:
-        path.events.append(PathEvent("flat", 0, {"measure": frame0.flat_measure}))
+    if flat(0):
+        events.append(PathEvent("flat", 0, {"measure": measures[0]}))
         flat_events += 1
         if drive.stop_after_flat_events is not None \
                 and flat_events >= drive.stop_after_flat_events:
-            path.termination = "flat_event_target"
-            return path
+            return path("flat_event_target")
 
+    h = drive.initial_step
     acc = None
     if null.shape[0] == 1:
         tau = null[0]
-    elif frame0.flat and null.shape[0] == 3:
-        tau, acc = _flat_start_tangent(sys, x, null, stresses, drive)
+    elif flat(0) and null.shape[0] == 3:
+        tau, acc, h = _flat_start_tangent(sys, x, null, stresses, drive)
     else:
         raise BranchAmbiguity(
             f"tangent space dimension {null.shape[0]} at a "
-            f"{'flat' if frame0.flat else 'non-flat'} start", path)
+            f"{'flat' if flat(0) else 'non-flat'} start", path(""))
 
     # orient so the driven dihedral initially moves with drive.direction; at a
     # flat start this picks between the two mirror-image ways out of the plane
@@ -581,10 +644,11 @@ def flex_path(r0: Realization, drive: DriveSpec = DriveSpec()) -> FlexionPath:
 
     crossings = _facet_crossing_set(r0) if drive.track_facet_crossings else None
 
-    h = drive.initial_step
     h_floor = drive.initial_step * drive.min_step_factor
     arc = 0.0
     lo, hi = drive.dihedral_range
+    # arctan2 stays in [-pi, pi], so only a narrower range can be left
+    check_range = lo > -math.pi or hi < math.pi
     heights = sys.heights(x)
 
     def insert_flat(k: int) -> bool:
@@ -592,8 +656,7 @@ def flex_path(r0: Realization, drive: DriveSpec = DriveSpec()) -> FlexionPath:
         plane change sign between frames k - 1 and k, starting from the chord
         point where their projection on frame k - 1's heights interpolates to
         zero.  Insert it as frame k when it lies between the two frames."""
-        x_lo = path.frames[k - 1].realization.flat_vector()
-        x_hi = path.frames[k].realization.flat_vector()
+        x_lo, x_hi = xs[k - 1], xs[k]
         h_lo = sys.heights(x_lo)
         g_lo, g_hi = float(h_lo @ h_lo), float(sys.heights(x_hi) @ h_lo)
         x_flat, ok = sys.flatten(x_lo + g_lo / (g_lo - g_hi) * (x_hi - x_lo),
@@ -602,14 +665,15 @@ def flex_path(r0: Realization, drive: DriveSpec = DriveSpec()) -> FlexionPath:
         to_lo = float(np.linalg.norm(x_flat - x_lo))
         if not (ok and to_lo < gap and np.linalg.norm(x_flat - x_hi) < gap):
             return False
-        frame = make_frame(Realization.from_flat(x_flat),
-                           path.frames[k - 1].arclength + to_lo / sys.diam,
-                           sys.target_len, drive.flat_event_tol)
-        if not frame.flat:
+        measure = coplanarity_measure(Realization.from_flat(x_flat))
+        if not measure <= drive.flat_event_tol:
             return False
-        path.frames.insert(k, frame)
+        xs.insert(k, x_flat)
+        arcs.insert(k, arcs[k - 1] + to_lo / sys.diam)
+        measures.insert(k, measure)
         return True
 
+    termination = "max_steps"
     step_count = 0
     while step_count < drive.max_steps:
         x_pred = x + h * sys.diam * tau
@@ -620,31 +684,30 @@ def flex_path(r0: Realization, drive: DriveSpec = DriveSpec()) -> FlexionPath:
         if not ok:
             h *= 0.5
             if h < h_floor:
-                path.termination = "stall"
                 raise ContinuationStall(
-                    f"corrector failed at step {step_count}, step size {h:g}", path)
+                    f"corrector failed at step {step_count}, step size {h:g}", path("stall"))
             continue
         acc = None
 
         arc += float(np.linalg.norm(x_new - x)) / sys.diam
         step_count += 1
-        frame = make_frame(Realization.from_flat(x_new), arc, sys.target_len,
-                           drive.flat_event_tol)
-        path.frames.append(frame)
+        xs.append(x_new)
+        arcs.append(arc)
+        measures.append(coplanarity_measure(Realization.from_flat(x_new)))
 
         null, pinv, _ = sys.null_space(x_new, drive.rank_tol)
         if null.shape[0] == 0:
-            path.termination = "rank_loss"
+            termination = "rank_loss"
             break
         if null.shape[0] > 1:
             proj = null.T @ (null @ tau)
             nn = float(np.linalg.norm(proj))
-            if frame.flat_measure > 10.0 * drive.flat_event_tol and nn < 0.9:
-                path.events.append(PathEvent("branch_ambiguity", len(path.frames) - 1,
-                                             {"dimension": int(null.shape[0])}))
-                path.termination = "branch_ambiguity"
+            if measures[-1] > 10.0 * drive.flat_event_tol and nn < 0.9:
+                events.append(PathEvent("branch_ambiguity", len(xs) - 1,
+                                        {"dimension": int(null.shape[0])}))
                 raise BranchAmbiguity(
-                    f"tangent dimension {null.shape[0]} at step {step_count}", path)
+                    f"tangent dimension {null.shape[0]} at step {step_count}",
+                    path("branch_ambiguity"))
             tau_new = proj / nn
         else:
             tau_new = null[0]
@@ -656,35 +719,32 @@ def flex_path(r0: Realization, drive: DriveSpec = DriveSpec()) -> FlexionPath:
         crossed = float(heights_new @ heights) < 0.0
         x, heights = x_new, heights_new
 
-        k = len(path.frames) - 1
-        if drive.refine_flat_events and not path.frames[k - 1].flat and (
-                frame.flat or crossed and insert_flat(k)):
-            path.events.append(PathEvent("flat", k, {"measure": path.frames[k].flat_measure}))
+        k = len(xs) - 1
+        if drive.refine_flat_events and not flat(k - 1) and (
+                flat(k) or crossed and insert_flat(k)):
+            events.append(PathEvent("flat", k, {"measure": measures[k]}))
             flat_events += 1
             if drive.stop_after_flat_events is not None \
                     and flat_events >= drive.stop_after_flat_events:
-                path.termination = "flat_event_target"
+                termination = "flat_event_target"
                 break
 
         if crossings is not None:
-            now = _facet_crossing_set(frame.realization)
+            now = _facet_crossing_set(Realization.from_flat(x_new))
             if now != crossings:
-                path.events.append(PathEvent(
-                    "facet_crossing_change", len(path.frames) - 1,
+                events.append(PathEvent(
+                    "facet_crossing_change", len(xs) - 1,
                     {"gained": sorted(map(list, now - crossings)),
                      "lost": sorted(map(list, crossings - now))}))
                 crossings = now
 
-        d = frame.dihedrals[canonical_edge(drive.edge[0], drive.edge[1])]
-        if not (lo <= d <= hi):
-            path.termination = "range_exit"
+        if check_range and not lo <= dihedral_angle(Realization.from_flat(x_new), e) <= hi:
+            termination = "range_exit"
             break
 
         h = min(h * 1.4, drive.max_step)
 
-    if not path.termination:
-        path.termination = "max_steps"
-    return path
+    return path(termination)
 
 
 def _facet_crossing_set(r: Realization) -> frozenset:

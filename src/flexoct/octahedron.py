@@ -149,6 +149,19 @@ def dihedral_array(p: np.ndarray) -> np.ndarray:
     return _dihedrals(p, slice(None))
 
 
+def diameter_array(p: np.ndarray) -> np.ndarray:
+    """Largest distance between two of the six points, (...)."""
+    return np.max(row_norms(p[..., _PAIR_I, :] - p[..., _PAIR_J, :]), axis=-1)
+
+
+def coplanarity_array(p: np.ndarray) -> np.ndarray:
+    """Smallest singular value of the centered coordinates over their norm,
+    (...); 0 for six coplanar points."""
+    m = p - p.mean(axis=-2, keepdims=True)
+    s = np.linalg.svd(m, compute_uv=False)
+    return s[..., -1] / row_norms(m.reshape(m.shape[:-2] + (18,)))
+
+
 def facet_normals(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit normals by the facet winding, (..., 8, 3), and areas, (..., 8),
     in FACETS order.  A facet of zero area has a nan normal."""
@@ -203,8 +216,7 @@ class Realization:
         return cls(np.asarray(x, dtype=float).reshape(6, 3))
 
     def diameter(self) -> float:
-        p = self.points
-        return float(np.max(row_norms(p[_PAIR_I] - p[_PAIR_J])))
+        return float(diameter_array(self.points))
 
 
 def facet_normal(r: Realization, facet) -> np.ndarray:
@@ -342,9 +354,7 @@ def validate(el: dict[str, float]) -> list[str]:
 
 def coplanarity_measure(r: Realization) -> float:
     """Smallest singular value of the centered coordinates over their norm."""
-    m = r.points - r.points.mean(axis=0)
-    s = np.linalg.svd(m, compute_uv=False)
-    return float(s[-1] / np.linalg.norm(m))
+    return float(coplanarity_array(r.points))
 
 
 def flat_angle_product(r: Realization) -> float:

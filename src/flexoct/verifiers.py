@@ -17,8 +17,9 @@ import numpy as np
 from .linkage import OppositeDihedralLine, opposite_dihedral_line
 from .octahedron import (EDGE_FACETS, EDGE_ORDER, FACET_NAMES, FACET_VERTS,
                          OPPOSITE_EDGES, VERTEX_CYCLES, VERTICES, DegenerateFacet,
-                         Realization, canonical_edge, edge_length_array, face_angle,
-                         facet_normals, opposite_pair_cosines)
+                         Realization, canonical_edge, diameter_array, dot_rows,
+                         edge_length_array, face_angle, facet_normals,
+                         opposite_pair_cosines)
 from .flexion import FlexionPath
 
 HEXAGONS = ("ABCDEF", "ABFDEC", "AECDBF", "AEFDBC")
@@ -42,6 +43,33 @@ class ConcurrencyResult:
     residual: float
 
 
+def _concurrency(p: np.ndarray, base: str, cond_tol: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Meet points (n, 3) of the planes of the facets across base's sides,
+    their distances (n,) from the opposite facet's plane over the diameter,
+    and the conditioning (n,) of the planes' normal matrix, for (n, 6, 3)
+    points.  Where the conditioning is below cond_tol the point and the
+    distance are nan."""
+    if base not in _OPPOSITE_FACET:
+        raise ValueError(f"unknown facet {base!r}")
+    # the facets across the three sides of base, then the opposite facet
+    facets = [next(f for f in EDGE_FACETS[canonical_edge(base[i], base[(i + 1) % 3])]
+                   if f != base) for i in range(3)] + [_OPPOSITE_FACET[base]]
+    k = [FACET_NAMES.index(f) for f in facets]
+    normals, areas = facet_normals(p)
+    if np.any(areas[:, k] == 0.0):
+        raise DegenerateFacet(f"a facet among {facets} has zero area")
+    planes = normals[:, k]
+    offsets = np.einsum("nij,nij->ni", planes, p[:, FACET_VERTS[k, 0]])
+    a, b = planes[:, :3], offsets[:, :3]
+    sv = np.linalg.svd(a, compute_uv=False)
+    solvable = ~(sv[:, -1] < cond_tol * sv[:, 0])
+    point = np.full(b.shape, np.nan)
+    point[solvable] = np.linalg.solve(a[solvable], b[solvable, :, None])[..., 0]
+    residual = np.abs(dot_rows(planes[:, 3], point) - offsets[:, 3]) / diameter_array(p)
+    return point, residual, sv[:, -1] / sv[:, 0]
+
+
 def mannheim_point(r: Realization, base: str = "ABC",
                    cond_tol: float = 1e-4) -> ConcurrencyResult:
     """Meet of the facet planes through the sides of ``base``, measured
@@ -56,24 +84,18 @@ def mannheim_point(r: Realization, base: str = "ABC",
     planes coincide at flat positions), so the default keeps evaluated
     residuals trustworthy to about 1e-8.
     """
-    if base not in _OPPOSITE_FACET:
-        raise ValueError(f"unknown facet {base!r}")
-    # the facets across the three sides of base, then the opposite facet
-    facets = [next(f for f in EDGE_FACETS[canonical_edge(base[i], base[(i + 1) % 3])]
-                   if f != base) for i in range(3)] + [_OPPOSITE_FACET[base]]
-    k = [FACET_NAMES.index(f) for f in facets]
-    normals, areas = facet_normals(r.points)
-    if np.any(areas[k] == 0.0):
-        raise DegenerateFacet(f"a facet among {facets} has zero area")
-    planes = normals[k]
-    offsets = np.einsum("ij,ij->i", planes, r.points[FACET_VERTS[k, 0]])
-    a, b = planes[:3], offsets[:3]
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] < cond_tol * sv[0]:
-        raise NearParallelPlanes(f"plane normal conditioning {sv[-1]/sv[0]:.2e}")
-    point = np.linalg.solve(a, b)
-    residual = abs(float(planes[3] @ point) - float(offsets[3])) / r.diameter()
-    return ConcurrencyResult(base=base, point=point, residual=residual)
+    point, residual, cond = _concurrency(r.points[None], base, cond_tol)
+    if np.isnan(residual[0]):
+        raise NearParallelPlanes(f"plane normal conditioning {cond[0]:.2e}")
+    return ConcurrencyResult(base=base, point=point[0], residual=float(residual[0]))
+
+
+def mannheim_residuals(points: np.ndarray, base: str = "ABC",
+                       cond_tol: float = 1e-4) -> np.ndarray:
+    """The residuals of mannheim_point for each of the stacked realizations
+    (n, 6, 3), in one batched pass; nan where it would raise
+    NearParallelPlanes."""
+    return _concurrency(points, base, cond_tol)[1]
 
 
 @dataclass(frozen=True)
@@ -136,7 +158,7 @@ def hexagon_traces(path: FlexionPath) -> list[HexagonTrace]:
     """
     if not path.frames:
         raise InsufficientFrames("empty path")
-    pts = np.stack([f.realization.points for f in path.frames])
+    pts = path.points
     sides = [[EDGE_ORDER.index(e) for e in hexagon_sides(h)] for h in HEXAGONS]
     lens = edge_length_array(pts)[:, sides]
     hexes = np.array([[VERTICES.index(v) for v in h] for h in HEXAGONS])
@@ -175,7 +197,7 @@ def dihedral_cos_line_fit(path: FlexionPath, vertex: str,
     """
     if len(path.frames) < 3:
         raise InsufficientFrames(f"{len(path.frames)} frames, need at least 3")
-    angles, _, _ = opposite_pair_cosines(path.frames[0].realization, vertex, pair)
+    angles, _, _ = opposite_pair_cosines(Realization(path.points[0]), vertex, pair)
     e1 = canonical_edge(vertex, pair[0])
     e2 = canonical_edge(vertex, pair[1])
     c1 = np.cos(path.dihedral_series(e1))

@@ -20,7 +20,7 @@ from flexoct.builders import (build_type1, build_type1_mirror, build_type2,
 from flexoct.flexion import (DriveSpec, NotFlexible, flex_dimension, flex_path)
 from flexoct.linkage import (FaceAngles, TetraCoeffs, planar_fourbar_coeffs,
                              reconstruct_angles, tetra_coeffs, tetra_coeffs_arrays)
-from flexoct.octahedron import (OPPOSITE_EDGES, VERTEX_CYCLES, VERTICES,
+from flexoct.octahedron import (EDGE_ORDER, OPPOSITE_EDGES, VERTEX_CYCLES, VERTICES,
                                 classify_edge_lengths, edge_lengths,
                                 reflection_pairing_residual, vertex_face_angles)
 
@@ -144,8 +144,8 @@ def test_criterion_03_type1_flexion(type1_cases):
     worst_time = 0.0
     for _, _, path, elapsed in type1_cases:
         worst_time = max(worst_time, elapsed)
-        worst_dev = max(worst_dev, max(f.max_edge_deviation for f in path.frames))
-        for e in path.frames[0].dihedrals:
+        worst_dev = max(worst_dev, float(np.max(path.edge_deviation)))
+        for e in EDGE_ORDER:
             series = np.unwrap(path.dihedral_series(e))
             worst_range = min(worst_range, float(series.max() - series.min()))
         for e1, e2 in OPPOSITE_EDGES:
@@ -195,7 +195,7 @@ def test_criterion_05_type2_flexion(type2_cases):
     worst_eq = 0.0
     worst_sym = 0.0
     for _, _, path in type2_cases:
-        worst_dev = max(worst_dev, max(f.max_edge_deviation for f in path.frames))
+        worst_dev = max(worst_dev, float(np.max(path.edge_deviation)))
         for frame in path.frames:
             el = edge_lengths(frame.realization, check=False)
             scale = max(el.values())
@@ -216,12 +216,12 @@ def test_criterion_06_type3_flat_to_flat(type3_cases):
     worst_dev = 0.0
     for con, r, path in type3_cases:
         worst_ceva = max(worst_ceva, con.ceva_residual)
-        worst_dev = max(worst_dev, max(f.max_edge_deviation for f in path.frames))
+        worst_dev = max(worst_dev, float(np.max(path.edge_deviation)))
         flats = path.flat_events()
         if len(flats) < 2:
             ok = False
             detail.append("no second flat event")
-        if max(f.flat_measure for f in path.frames) < 1e-4:
+        if np.max(path.flat_measure) < 1e-4:
             ok = False
             detail.append("path never left the flat state")
         for v in VERTICES:

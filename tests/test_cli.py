@@ -114,7 +114,8 @@ class TestExportFrames:
         assert csv[0].split(",")[2] == "dih_AB"
 
     def test_empty_path(self, tmp_path):
-        files = export_frames(FlexionPath(frames=[]), tmp_path / "out")
+        empty = FlexionPath.from_points(np.empty((0, 6, 3)), [], np.ones(12), [], 1e-6)
+        files = export_frames(empty, tmp_path / "out")
         assert files == ["path.csv"]
         csv = (tmp_path / "out" / "path.csv").read_text().splitlines()
         assert len(csv) == 1
@@ -183,6 +184,8 @@ class TestRun:
         assert len(dev) == 5
         assert dev[2] > 1e-8
         assert max(dev[:2] + dev[3:]) <= 1e-12
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["max_edge_deviation"] == dev[2]
 
     def test_invalid_spec_exits_1(self, tmp_path):
         spec = write_spec(tmp_path, {"command": "fourbar", "sides": [1, 1, 1]})
@@ -309,8 +312,11 @@ class TestRun:
                                "flat_probes"}
         assert all(isinstance(v, int) for v in counts.values())
         assert counts["chord_steps"] + counts["gauss_newton_steps"] >= 5
-        header = (tmp_path / "o" / "path.csv").read_text().splitlines()[0]
-        assert header == ",".join(cli._CSV_HEADER)
+        lines = (tmp_path / "o" / "path.csv").read_text().splitlines()
+        assert lines[0] == ",".join(cli._CSV_HEADER)
+        devs = [float(row.split(",")[-2]) for row in lines[1:]]
+        assert summary["max_edge_deviation"] == max(devs)
+        assert summary["max_edge_deviation"] <= 1e-9
 
     def test_flex_rejects_edge_lengths(self, tmp_path):
         """A flex path always keeps the lengths of its start; foreign edge
@@ -325,6 +331,23 @@ class TestRun:
         assert summary["status"] == "error"
         assert summary["error"]["type"] == "ValidationError"
         assert "edge_lengths" in summary["error"]["message"]
+
+    def test_stall_exports_partial_path(self, tmp_path):
+        """A stalled flex is an error whose partial frames are all exported."""
+        spec = write_spec(tmp_path, {
+            "command": "flex",
+            "source": {"command": "build-type1", "points": EXAMPLE_T1},
+            "drive": {"max_newton": 2, "min_step_factor": 0.5}})
+        code = cli.main(["flex", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert code == 2
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["status"] == "error"
+        assert summary["error"]["type"] == "ContinuationStall"
+        assert summary["frames"] == 3
+        rows = (tmp_path / "o" / "path.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "1", "2"]
+        assert len(list((tmp_path / "o").glob("frame_*.obj"))) == 3
+        assert summary["max_edge_deviation"] == max(float(r.split(",")[-2]) for r in rows)
 
     def test_steps_override(self, tmp_path):
         spec = write_spec(tmp_path, {
@@ -359,6 +382,9 @@ class TestDriveValidation:
         ({"dihedral_range": [1, 1]}, "drive.dihedral_range"),
         ({"stop_after_flat_events": -3}, "drive.stop_after_flat_events"),
         ({"stop_after_flat_events": 0}, "drive.stop_after_flat_events"),
+        ({"corrector_tol": 10}, "drive.corrector_tol"),
+        ({"rank_tol": 1}, "drive.rank_tol"),
+        ({"flat_event_tol": 1.5}, "drive.flat_event_tol"),
     ])
     def test_rejected(self, tmp_path, drive, field):
         spec = write_spec(tmp_path, {
@@ -384,6 +410,28 @@ class TestDriveValidation:
                       "edge": "CB", "refine_flat_events": False}}))
         assert spec.payload["drive"]["initial_step"] == 1.0
         assert isinstance(spec.payload["drive"]["initial_step"], float)
+
+    @pytest.mark.parametrize("key", ["corrector", "rank", "flat"])
+    def test_spec_tolerance_below_one(self, tmp_path, key):
+        spec = write_spec(tmp_path, {
+            "command": "flex",
+            "source": {"command": "build-type1", "points": EXAMPLE_T1},
+            "tolerances": {key: 10}})
+        code = cli.main(["flex", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert code == 1
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["error"]["type"] == "ValidationError"
+        assert f"tolerances.{key}" in summary["error"]["message"]
+
+    def test_tol_override_below_one(self, tmp_path):
+        spec = write_spec(tmp_path, {
+            "command": "flex",
+            "source": {"command": "build-type1", "points": EXAMPLE_T1}})
+        code = cli.main(["flex", "--spec", str(spec), "--out", str(tmp_path / "o"),
+                         "--tol", "10"])
+        assert code == 1
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert "drive.corrector_tol" in summary["error"]["message"]
 
     def test_negative_steps_override(self, tmp_path):
         spec = write_spec(tmp_path, {

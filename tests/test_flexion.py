@@ -1,5 +1,6 @@
 """Tests for rigidity analysis, continuation, and facet crossing detection."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,16 +8,30 @@ import pytest
 
 from flexoct import flexion
 from flexoct.builders import build_type1, build_type1_mirror, build_type2, build_type3_flat
-from flexoct.flexion import (BranchAmbiguity, DriveSpec, NotFlexible, _System,
-                             _common_quadric_zero, facet_crossings, flex_dimension,
-                             flex_path, rigidity_matrix)
+from flexoct.flexion import (BranchAmbiguity, ContinuationStall, DriveSpec,
+                             NotFlexible, _System, _common_quadric_zero,
+                             facet_crossings, flex_dimension, flex_path,
+                             rigidity_matrix)
 from flexoct.octahedron import (EDGE_ORDER, Realization, coplanarity_measure,
-                                edge_length_array, edge_lengths, regular_octahedron)
+                                dihedral_array, edge_length_array, edge_lengths,
+                                regular_octahedron)
 
 EXAMPLE_T1 = ((1, 0, 0.5), (0.1, 1, -0.4), (0.7, -0.8, 0.1))
 EXAMPLE_T3 = ((0, 0), (4, 0), (1, 2.5), (5 / 3, 2.5 / 3))
 TYPE3_DRIVE = DriveSpec(max_steps=2000, initial_step=0.01, max_step=0.02,
                         stop_after_flat_events=2)
+# two corrector iterations, and one halving of the step before the floor:
+# EXAMPLE_T1 stalls at its third step
+STALL_DRIVE = DriveSpec(max_newton=2, min_step_factor=0.5)
+COLUMNS = ("points", "arclength", "dihedrals", "edge_deviation", "flat_measure", "flat")
+
+
+def assert_columns_filled(path, n):
+    """Every column of path has n rows and holds finite numbers."""
+    for name in COLUMNS:
+        column = getattr(path, name)
+        assert len(column) == n, name
+        assert np.all(np.isfinite(column)), name
 
 
 @pytest.fixture
@@ -106,8 +121,8 @@ class TestFlexPath:
     def test_type1_path_properties(self):
         r = build_type1(*EXAMPLE_T1)
         path = flex_path(r, drive=DriveSpec(max_steps=120))
-        assert max(f.max_edge_deviation for f in path.frames) <= 1e-9
-        arcs = path.arclengths()
+        assert np.max(path.edge_deviation) <= 1e-9
+        arcs = path.arclength
         assert np.all(np.diff(arcs) > 0)
         for e1, e2 in (("AB", "DE"), ("BF", "EC")):
             c1 = np.cos(path.dihedral_series(e1))
@@ -133,9 +148,9 @@ class TestFlexPath:
         assert flats[0].frame_index == 0
         assert flats[1].info["measure"] <= 1e-6
         # the path genuinely left the flat state in between
-        peak = max(f.flat_measure for f in path.frames)
+        peak = np.max(path.flat_measure)
         assert peak >= 1e-2
-        assert max(f.max_edge_deviation for f in path.frames) <= 1e-8
+        assert np.max(path.edge_deviation) <= 1e-8
 
     def test_direction_control(self):
         r = build_type1(*EXAMPLE_T1)
@@ -158,8 +173,8 @@ class TestFlexPath:
         d_up = np.diff(np.unwrap(up.dihedral_series("BC")))
         d_down = np.diff(np.unwrap(down.dihedral_series("BC")))
         assert np.all(d_up > 0.0) and np.all(d_down < 0.0)
-        p_up = np.stack([f.realization.points for f in up.frames])
-        mirrored = np.stack([f.realization.points for f in down.frames]) * [1, 1, -1]
+        p_up = up.points
+        mirrored = down.points * [1, 1, -1]
         assert np.max(np.abs(p_up[1:, :, 2])) >= 1e-2  # the path left the plane
         assert np.max(np.abs(mirrored - p_up)) <= 1e-10 * r.diameter()
 
@@ -192,11 +207,57 @@ class TestFlexPath:
                 v2 = np.interp(x, x2[o2], y2[o2])
                 assert v1 == pytest.approx(v2, abs=1e-5)
 
+    def test_columns_match_per_frame_kernels(self):
+        """The batched columns equal the geometry kernel run frame by frame."""
+        r = build_type1(*EXAMPLE_T1)
+        path = flex_path(r, drive=DriveSpec(max_steps=40))
+        assert_columns_filled(path, 41)
+        target = edge_length_array(r.points)
+        for i, p in enumerate(path.points):
+            assert np.array_equal(path.dihedrals[i], dihedral_array(p))
+            dev = np.max(np.abs(edge_length_array(p) - target) / target)
+            assert path.edge_deviation[i] == dev
+            assert path.flat_measure[i] == coplanarity_measure(Realization(p))
+        steps = np.linalg.norm(np.diff(path.points, axis=0), axis=(1, 2)) / r.diameter()
+        assert np.allclose(np.diff(path.arclength), steps, rtol=1e-12, atol=0.0)
+        assert not path.flat.any()
+
+    def test_frames_view(self):
+        path = flex_path(build_type1(*EXAMPLE_T1), drive=DriveSpec(max_steps=5))
+        frames = path.frames
+        assert len(frames) == 6
+        for i in (0, 3, -1):
+            frame = frames[i]
+            assert np.array_equal(frame.realization.points, path.points[i])
+            assert frame.arclength == path.arclength[i]
+            assert frame.max_edge_deviation == path.edge_deviation[i]
+            assert frame.flat_measure == path.flat_measure[i]
+            assert frame.flat == path.flat[i]
+        assert [f.arclength for f in frames[1:5:2]] == list(path.arclength[1:5:2])
+        assert [f.arclength for f in frames] == list(path.arclength)
+        with pytest.raises(IndexError):
+            frames[6]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            frames[0].flat = True
+        with pytest.raises(ValueError):
+            frames[0].realization.points[0, 0] = 1.0
+
+    def test_stall_keeps_partial_path(self):
+        """A stall after accepted steps raises with the path up to its last
+        accepted frame, every column filled."""
+        with pytest.raises(ContinuationStall, match="step 2") as err:
+            flex_path(build_type1(*EXAMPLE_T1), drive=STALL_DRIVE)
+        partial = err.value.partial
+        assert partial.termination == "stall"
+        assert_columns_filled(partial, 3)
+        assert np.all(np.diff(partial.arclength) > 0.0)
+        assert np.max(partial.edge_deviation) <= 1e-9
+
     def test_edge_lengths_honored(self):
         r = build_type2((0, 0, 1), (0.2, 0, -1), (1, 0.7, 0.3), (-0.9, 0.5, -0.2))
         el = edge_lengths(r)
         path = flex_path(r, DriveSpec(max_steps=40))
-        last = path.frames[-1].realization
+        last = Realization(path.points[-1])
         got = edge_lengths(last, check=False)
         assert max(abs(got[e] - el[e]) / el[e] for e in el) <= 1e-9
 
@@ -204,7 +265,7 @@ class TestFlexPath:
 def abc_heights(path) -> np.ndarray:
     """Heights of D, E, F above the plane of A, B, C, one row per frame,
     from the frames' own coordinates."""
-    p = np.stack([f.realization.points for f in path.frames])
+    p = path.points
     n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
     n /= np.linalg.norm(n, axis=1, keepdims=True)
     return np.einsum("fvk,fk->fv", p[:, 3:] - p[:, :1], n)
@@ -233,11 +294,11 @@ class TestFlatCrossings:
         assert [ev.frame_index for ev in flats] == [0, 16]
         h = abc_heights(path)
         assert np.einsum("v,v", h[15], h[17]) < 0.0  # the event lies between them
-        event = path.frames[16]
-        assert path.frames[15].arclength < event.arclength < path.frames[17].arclength
-        assert abs(abs(event.dihedrals["BC"]) - math.pi) <= 1e-3
-        assert abs(event.dihedrals["AB"]) <= 1e-3
-        assert event.max_edge_deviation <= 1e-14
+        arc = path.arclength
+        assert arc[15] < arc[16] < arc[17]
+        assert abs(abs(path.dihedral_series("BC")[16]) - math.pi) <= 1e-3
+        assert abs(path.dihedral_series("AB")[16]) <= 1e-3
+        assert path.edge_deviation[16] <= 1e-14
 
     def test_every_crossing_recorded(self):
         """Without a stop, each sign change of the heights is one event."""
@@ -326,8 +387,8 @@ class TestCorrector:
     def test_failed_chord_reproduces_gauss_newton(self, step):
         r, sys, x, tau, x_pred, _ = step
         # the chord inverse of a point five steps along the path
-        far = flex_path(r, drive=DriveSpec(max_steps=5)).frames[-1].realization
-        null, pinv, _ = sys.null_space(far.flat_vector(), 1e-7)
+        far = flex_path(r, drive=DriveSpec(max_steps=5)).points[-1]
+        null, pinv, _ = sys.null_space(far.reshape(-1), 1e-7)
         chord = np.column_stack([pinv, null[0] * sys.diam])
         x_chord, ok_chord = self.correct(sys, x, tau, x_pred, chord)
         used = dict(sys.counts)
@@ -423,5 +484,27 @@ class TestFlatStart:
         """A rank tolerance that counts a fourth direction as null leaves the
         flat start's tangent ambiguous."""
         _, r = build_type3_flat(*EXAMPLE_T3)
-        with pytest.raises(BranchAmbiguity, match="dimension 4 at a flat start"):
+        with pytest.raises(BranchAmbiguity, match="dimension 4 at a flat start") as err:
             flex_path(r, drive=DriveSpec(rank_tol=4.4e-3))
+        partial = err.value.partial
+        assert_columns_filled(partial, 1)
+        assert np.array_equal(partial.points[0], r.points)
+        assert partial.flat[0] and partial.edge_deviation[0] == 0.0
+        assert [(ev.kind, ev.frame_index) for ev in partial.events] == [("flat", 0)]
+
+    def test_flat_start_halves_its_first_step(self):
+        """Flat starts whose first correction fails at drive.initial_step leave
+        the plane at a halved step and reach their second flat event."""
+        rng = np.random.default_rng(11)
+        draws = []
+        for _ in range(40):
+            tri = rng.uniform(-2, 2, (3, 2))
+            draws.append((tri, rng.dirichlet((2, 2, 2)) @ tri))
+        for k in (3, 19, 38):
+            tri, point = draws[k]
+            _, r = build_type3_flat(*tri, point)
+            path = flex_path(r, drive=DriveSpec(stop_after_flat_events=2))
+            assert len(path.flat_events()) == 2
+            assert np.max(path.edge_deviation) <= 1e-8
+            assert np.diff(path.arclength)[0] < 0.02
+            TestFlatCrossings.assert_no_missed_crossing(path)

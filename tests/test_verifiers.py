@@ -1,16 +1,17 @@
 """Tests for the theorem checks along realizations and paths."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from flexoct.builders import build_type1, build_type2, build_type3_flat
-from flexoct.flexion import DriveSpec, FlexionPath, flex_path
-from flexoct.octahedron import canonical_edge, edge_lengths, regular_octahedron
+from flexoct.flexion import DriveSpec, flex_path
+from flexoct.octahedron import Realization, canonical_edge, regular_octahedron
 from flexoct.verifiers import (HEXAGONS, InsufficientFrames, NearParallelPlanes,
                                dihedral_cos_line_fit, hexagon_sides,
-                               hexagon_traces, mannheim_point,
+                               hexagon_traces, mannheim_point, mannheim_residuals,
                                opposite_dihedral_trace, vertex_opposite_pairs)
 
 EXAMPLE_T1 = ((1, 0, 0.5), (0.1, 1, -0.4), (0.7, -0.8, 0.1))
@@ -33,6 +34,13 @@ def cramer_meet(r, facets):
             + offsets[2] * np.cross(n1, n2)) / det
 
 
+def rows(path, index):
+    """The path made of the given rows of path's columns."""
+    columns = ("points", "arclength", "dihedrals", "edge_deviation", "flat_measure", "flat")
+    return dataclasses.replace(path, events=[],
+                               **{c: getattr(path, c)[index] for c in columns})
+
+
 @pytest.fixture(scope="module")
 def type1_path():
     return flex_path(build_type1(*EXAMPLE_T1), drive=DriveSpec(max_steps=100))
@@ -53,6 +61,23 @@ class TestMannheim:
                 meet = cramer_meet(frame.realization, SIDE_FACETS[base])
                 diam = frame.realization.diameter()
                 assert np.max(np.abs(res.point - meet)) <= 1e-9 * diam
+
+    def test_batched_residuals_equal_single(self, type1_path):
+        """The batched residuals equal mannheim_point's frame by frame, and are
+        nan exactly where it raises NearParallelPlanes (the flat frames)."""
+        _, r = build_type3_flat((0, 0), (4, 0), (1, 2.5), (5 / 3, 2.5 / 3))
+        type3_path = flex_path(r, drive=DriveSpec(max_steps=30, initial_step=0.01,
+                                                  max_step=0.02))
+        for path in (type1_path, type3_path):
+            for base in ("ABC", "DEF"):
+                batched = mannheim_residuals(path.points, base)
+                for p, res in zip(path.points, batched):
+                    try:
+                        single = mannheim_point(Realization(p), base=base).residual
+                    except NearParallelPlanes:
+                        single = math.nan
+                    assert res == single or math.isnan(res) and math.isnan(single)
+        assert np.isnan(mannheim_residuals(type3_path.points)).sum() >= 2
 
     def test_rigid_realization_reports_without_assertion(self, rng):
         from conftest import random_generic_realization
@@ -83,7 +108,7 @@ class TestOppositeDihedralTrace:
             assert min(rel.dev_equal, rel.dev_supplementary) <= 1e-8
 
     def test_single_frame_trivial(self, type1_path):
-        single = FlexionPath(frames=[type1_path.frames[0]])
+        single = rows(type1_path, [0])
         for rel in opposite_dihedral_trace(single):
             assert rel.relation in ("equal", "supplementary")
 
@@ -101,7 +126,7 @@ class TestHexagons:
             assert trace.max_angle_variation <= 1e-8
 
     def test_single_frame_zero(self, type1_path):
-        single = FlexionPath(frames=[type1_path.frames[0]])
+        single = rows(type1_path, [0])
         for trace in hexagon_traces(single):
             assert trace.max_side_variation == 0.0
             assert trace.max_angle_variation == 0.0
@@ -125,11 +150,11 @@ class TestCosineLineFit:
         assert abs(abs(fit.line.l) - abs(fit.line.m)) <= 1e-6
 
     def test_insufficient_frames(self, type1_path):
-        short = FlexionPath(frames=type1_path.frames[:2])
+        short = rows(type1_path, slice(0, 2))
         with pytest.raises(InsufficientFrames):
             dihedral_cos_line_fit(short, "A", ("B", "E"))
 
     def test_degenerate_flag_on_constant_samples(self, type1_path):
-        frozen = FlexionPath(frames=[type1_path.frames[0]] * 5)
+        frozen = rows(type1_path, [0] * 5)
         fit = dihedral_cos_line_fit(frozen, "A", ("B", "E"))
         assert fit.degenerate
