@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import fnmatch
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -249,6 +251,11 @@ def _validate_payload(command: str, raw: dict) -> tuple[dict, list[str]]:
 
     if command in ("flex", "verify"):
         payload["drive"] = _validate_drive(raw.get("drive", {}))
+    if "frames_dir" in payload:
+        ignored = sorted(set(payload["drive"]) - {"flat_event_tol"})
+        if ignored:
+            raise ValidationError("drive", f"{ignored} do not apply to imported frames; "
+                                           "frames_dir takes only flat_event_tol")
     return payload, warns
 
 
@@ -303,27 +310,42 @@ def load_spec(path) -> JobSpec | list[JobSpec]:
 # exporters
 
 
+_OBJ_HEAD = "# flexoct frame: vertices A B C D E F, facets in fixed order\n"
+_OBJ_VERTICES = "v %r %r %r\n" * 6
+_OBJ_FACETS = "".join("f %d %d %d\n" % tuple(VERTICES.index(v) + 1 for v in f)
+                      for f in FACETS)
+
+
+def _obj_bytes(points: np.ndarray) -> bytes:
+    """The OBJ file of one frame's (6, 3) points, floats in shortest round-trip form."""
+    return (_OBJ_HEAD + _OBJ_VERTICES % tuple(points.ravel().tolist())
+            + _OBJ_FACETS).encode()
+
+
+def _write_bytes(path: str, data: bytes) -> None:
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
 def write_obj(r: Realization, path) -> None:
-    lines = ["# flexoct frame: vertices A B C D E F, facets in fixed order"]
-    for v in VERTICES:
-        x, y, z = (repr(float(c)) for c in r[v])
-        lines.append(f"v {x} {y} {z}")
-    idx = {v: i + 1 for i, v in enumerate(VERTICES)}
-    for f in FACETS:
-        lines.append(f"f {idx[f[0]]} {idx[f[1]]} {idx[f[2]]}")
     try:
-        Path(path).write_text("\n".join(lines) + "\n")
+        _write_bytes(path, _obj_bytes(r.points))
     except OSError as exc:
         raise IoError(str(exc)) from exc
 
 
-def read_obj(path) -> Realization:
-    pts = []
+def _read_bytes(path: str) -> bytes:
     try:
-        text = Path(path).read_text()
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    for n, line in enumerate(text.splitlines(), 1):
+
+
+def _obj_coordinates(data: bytes, path) -> list[float]:
+    """The 18 vertex coordinates of an OBJ file's bytes, in file order."""
+    coords: list[float] = []
+    for n, line in enumerate(data.decode().splitlines(), 1):
         parts = line.split()
         if parts and parts[0] == "v":
             try:
@@ -332,54 +354,113 @@ def read_obj(path) -> Realization:
                 raise IoError(f"{path}: line {n}: expected three vertex coordinates") from None
             if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
                 raise IoError(f"{path}: line {n}: non-finite vertex coordinate")
-            pts.append([x, y, z])
-    if len(pts) != 6:
-        raise IoError(f"{path}: expected 6 vertices, found {len(pts)}")
-    return Realization(np.array(pts))
+            coords += (x, y, z)
+    if len(coords) != 18:
+        raise IoError(f"{path}: expected 6 vertices, found {len(coords) // 3}")
+    return coords
+
+
+def read_obj(path) -> Realization:
+    return Realization(np.reshape(_obj_coordinates(_read_bytes(path), path), (6, 3)))
 
 
 _CSV_HEADER = (["frame", "arclength"] + [f"dih_{e}" for e in EDGE_ORDER]
                + ["max_edge_deviation", "flat_flag"])
+# frame index, arc length, 12 dihedrals, edge deviation, flat flag
+_CSV_ROW = "%d" + ",%r" * 14 + ",%d\n"
 
 
-def export_frames(path: flexion.FlexionPath, out_dir) -> list[str]:
-    """One OBJ per frame plus path.csv; returns the written file names."""
-    out = Path(out_dir)
+class _Written(list):
+    """The file names export_frames wrote; ``linked`` of its frames are hard
+    links to their source files."""
+    linked = 0
+
+
+def _file_id(path: str) -> tuple[int, int]:
+    st = os.stat(path)
+    return st.st_dev, st.st_ino
+
+
+def export_frames(path: flexion.FlexionPath, out_dir, sources=()) -> list[str]:
+    """One OBJ per frame plus path.csv; returns the written file names.
+
+    ``sources`` pairs frame i with the (file, bytes) it was read from.  A
+    frame whose OBJ bytes equal its source's is hard-linked to the source
+    instead of written, or written where the file system refuses the link;
+    the returned list counts the links in ``linked``.  A frame that already
+    is its source (verify into its own frames_dir) stays as it is, and a
+    frame name held by another source file is an IoError, not an
+    overwritten input.  Any other existing entry is removed before the link
+    or the write, so no write goes through a link into another directory.
+    """
+    out = os.fspath(out_dir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        os.makedirs(out, exist_ok=True)
+        existing = set(os.listdir(out))
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    written = []
-    rows = [",".join(_CSV_HEADER)]
-    columns = zip(path.points, path.arclength.tolist(), path.dihedrals.tolist(),
-                  path.edge_deviation.tolist(), path.flat.tolist())
-    for i, (points, arc, dihedrals, dev, flat) in enumerate(columns):
+    written = _Written()
+    inputs = None  # (device, inode) of each source, taken when a name exists
+    for i, points in enumerate(path.points):
         name = f"frame_{i:04d}.obj"
-        write_obj(Realization(points), out / name)
+        target = os.path.join(out, name)
+        src, src_bytes = sources[i] if sources else (None, None)
         written.append(name)
-        row = [str(i), repr(arc)] + [repr(d) for d in dihedrals]
-        row += [repr(dev), "1" if flat else "0"]
-        rows.append(",".join(row))
+        try:
+            if name in existing:
+                if src is not None and os.path.samefile(src, target):
+                    written.linked += 1
+                    continue
+                if sources:
+                    if inputs is None:
+                        inputs = {_file_id(f) for f, _ in sources}
+                    if _file_id(target) in inputs:
+                        raise IoError(f"{target} is an input frame of this export; "
+                                      "write to another directory")
+                os.unlink(target)
+            data = _obj_bytes(points)
+            if data == src_bytes:
+                try:
+                    os.link(src, target)
+                    written.linked += 1
+                    continue
+                except OSError:  # EXDEV, EPERM, no hard links: write the file
+                    pass
+            _write_bytes(target, data)
+        except OSError as exc:
+            raise IoError(str(exc)) from exc
+    columns = zip(path.arclength.tolist(), path.dihedrals.tolist(),
+                  path.edge_deviation.tolist(), path.flat.tolist())
+    rows = [_CSV_ROW % (i, arc, *dihedrals, dev, flat)
+            for i, (arc, dihedrals, dev, flat) in enumerate(columns)]
     csv_name = "path.csv"
     try:
-        (out / csv_name).write_text("\n".join(rows) + "\n")
+        _write_bytes(os.path.join(out, csv_name),
+                     (",".join(_CSV_HEADER) + "\n" + "".join(rows)).encode())
     except OSError as exc:
         raise IoError(str(exc)) from exc
     written.append(csv_name)
     return written
 
 
-def _load_frames_dir(frames_dir) -> flexion.FlexionPath:
-    """Imported frames, with edge deviations measured against frame 0."""
-    objs = sorted(Path(frames_dir).glob("frame_*.obj"))
-    if not objs:
+def _load_frames_dir(frames_dir: str, flat_tol: float):
+    """Imported frames, with edge deviations measured against frame 0, and
+    the (file, bytes) each frame was read from."""
+    try:
+        names = sorted(fnmatch.filter(os.listdir(frames_dir), "frame_*.obj"))
+    except OSError:
+        names = []
+    if not names:
         raise IoError(f"no frame_*.obj files under {frames_dir}")
-    points = np.stack([read_obj(p).points for p in objs])
+    files = [os.path.join(frames_dir, name) for name in names]
+    blobs = [_read_bytes(f) for f in files]
+    points = np.array([_obj_coordinates(b, f) for b, f in zip(blobs, files)]).reshape(-1, 6, 3)
     steps = octahedron.row_norms(np.diff(points, axis=0).reshape(-1, 18))
     arc = np.cumsum(np.concatenate([[0.0], steps / octahedron.diameter_array(points[:-1])]))
-    return flexion.FlexionPath.from_points(
+    path = flexion.FlexionPath.from_points(
         points, arc, octahedron.edge_length_array(points[0]),
-        octahedron.coplanarity_array(points), 1e-6, termination="imported")
+        octahedron.coplanarity_array(points), flat_tol, termination="imported")
+    return path, list(zip(files, blobs))
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +612,11 @@ def run(job: JobSpec, out_dir=None, overrides=None) -> int:
                   tuple(co.as_tuple()))
             summary["coefficients"] = list(co.as_tuple())
         elif job.command in ("flex", "verify"):
+            sources = ()
             if job.command == "verify" and "frames_dir" in job.payload:
-                path_obj = _load_frames_dir(job.payload["frames_dir"])
+                flat_tol = job.payload["drive"].get("flat_event_tol", job.tolerances.get(
+                    "flat", flexion.DriveSpec.flat_event_tol))
+                path_obj, sources = _load_frames_dir(job.payload["frames_dir"], flat_tol)
             else:
                 if "positions" in job.payload:
                     r = Realization.from_dict(job.payload["positions"])
@@ -546,8 +630,9 @@ def run(job: JobSpec, out_dir=None, overrides=None) -> int:
             if "corrector" in path_obj.meta:
                 summary["corrector"] = path_obj.meta["corrector"]
             summary["events"] = [dataclasses.asdict(ev) for ev in path_obj.events]
-            summary["files"] = export_frames(path_obj, out)
+            summary["files"] = export_frames(path_obj, out, sources)
             if job.command == "verify":
+                summary["frames_linked"] = summary["files"].linked
                 report = _verify_report(path_obj)
                 out.mkdir(parents=True, exist_ok=True)
                 _write_verify_csv(out, report)

@@ -1,7 +1,9 @@
 """Tests for the command line interface, job specs, and exporters."""
 
+import errno
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -465,3 +467,149 @@ class TestDriveValidation:
         assert code == 1
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert field in summary["error"]["message"]
+
+
+def export_type1(tmp_path, steps=4, name="frames"):
+    """A type 1 path of steps + 1 frames exported to tmp_path / name."""
+    r = build_type1(EXAMPLE_T1["A"], EXAMPLE_T1["B"], EXAMPLE_T1["F"])
+    export_frames(flex_path(r, drive=DriveSpec(max_steps=steps)), tmp_path / name)
+    return tmp_path / name
+
+
+def run_verify(tmp_path, frames, out, **fields):
+    spec = write_spec(tmp_path, {"command": "verify", "frames_dir": str(frames), **fields},
+                      name=f"verify_{out.name}.json")
+    return cli.main(["verify", "--spec", str(spec), "--out", str(out)])
+
+
+def snapshot(directory):
+    """Bytes and inode of every file in a directory."""
+    return {p.name: (p.read_bytes(), p.stat().st_ino) for p in sorted(directory.iterdir())}
+
+
+def summary_of(out):
+    return json.loads((out / "summary.json").read_text())
+
+
+class TestVerifyFramesDir:
+    """verify hard-links each frame whose bytes it would write unchanged,
+    never writes through a link, and honours only drive.flat_event_tol."""
+
+    def test_canonical_frames_are_linked(self, tmp_path):
+        frames = export_type1(tmp_path, steps=30)
+        before = snapshot(frames)
+        assert run_verify(tmp_path, frames, tmp_path / "o") == 0
+        summary = summary_of(tmp_path / "o")
+        assert summary["frames"] == 31 and summary["frames_linked"] == 31
+        for name in summary["files"][:31]:
+            assert (tmp_path / "o" / name).stat().st_ino == before[name][1]
+        assert snapshot(frames) == before
+
+    @pytest.mark.parametrize("later", ["flex", "verify"])
+    def test_later_run_does_not_write_through_links(self, tmp_path, later):
+        frames = export_type1(tmp_path)
+        before = snapshot(frames)
+        out = tmp_path / "o"
+        assert run_verify(tmp_path, frames, out) == 0
+        if later == "flex":
+            spec = write_spec(tmp_path, {
+                "command": "flex",
+                "source": {"command": "build-type1", "points": EXAMPLE_T1},
+                "drive": {"max_steps": 6, "direction": -1}})
+            assert cli.main(["flex", "--spec", str(spec), "--out", str(out)]) == 0
+        else:
+            other = tmp_path / "other"
+            r = build_type1(EXAMPLE_T1["A"], EXAMPLE_T1["B"], EXAMPLE_T1["F"])
+            export_frames(flex_path(r, drive=DriveSpec(max_steps=6, direction=-1)), other)
+            assert run_verify(tmp_path, other, out) == 0
+        assert (out / "frame_0001.obj").read_bytes() != before["frame_0001.obj"][0]
+        assert snapshot(frames) == before
+
+    def test_verify_into_its_own_frames_dir(self, tmp_path):
+        frames = export_type1(tmp_path)
+        before = snapshot(frames)
+        assert run_verify(tmp_path, frames, frames) == 0
+        after = snapshot(frames)
+        assert {n: after[n] for n in before if n.startswith("frame_")} == {
+            n: v for n, v in before.items() if n.startswith("frame_")}
+        assert summary_of(frames)["frames_linked"] == 5
+
+    def test_own_frames_dir_with_other_names(self, tmp_path):
+        """A verify into its own frames_dir whose frames are not named in
+        export order refuses to replace an input frame."""
+        frames = export_type1(tmp_path, steps=2)
+        (frames / "frame_0000.obj").rename(frames / "frame_0001x.obj")
+        before = snapshot(frames)
+        assert run_verify(tmp_path, frames, frames) == 1
+        summary = summary_of(frames)
+        assert summary["error"]["type"] == "IoError"
+        assert "frame_0001.obj" in summary["error"]["message"]
+        after = snapshot(frames)
+        assert {n: after[n] for n in before if n != "summary.json"} == {
+            n: v for n, v in before.items() if n != "summary.json"}
+
+    def test_non_canonical_frames_are_rewritten(self, tmp_path):
+        """Frames that parse to the same points but differ in bytes (CRLF line
+        ends, integers written without a decimal point, an extra comment) are
+        written in canonical form, not linked."""
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        write_obj(regular_octahedron(), frames / "frame_0000.obj")
+        canonical = (frames / "frame_0000.obj").read_bytes()
+        assert b"v 1.0 0.0 0.0\n" in canonical
+        (frames / "frame_0001.obj").write_bytes(canonical.replace(b"\n", b"\r\n"))
+        (frames / "frame_0002.obj").write_bytes(canonical.replace(b".0", b""))
+        (frames / "frame_0003.obj").write_bytes(b"# exported elsewhere\n" + canonical)
+        before = snapshot(frames)
+        out = tmp_path / "o"
+        assert run_verify(tmp_path, frames, out) == 0
+        assert summary_of(out)["frames_linked"] == 1
+        for i in range(4):
+            written = out / f"frame_{i:04d}.obj"
+            assert written.read_bytes() == canonical
+            assert (written.stat().st_nlink == 1) == (i > 0)
+        assert snapshot(frames) == before
+
+    def test_write_fallback_matches_links(self, tmp_path, monkeypatch):
+        """Where the file system refuses hard links, every output file is
+        written with the bytes the linked run has."""
+        frames = export_type1(tmp_path)
+        assert run_verify(tmp_path, frames, tmp_path / "linked") == 0
+
+        def cross_device(src, dst):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src)
+
+        monkeypatch.setattr(os, "link", cross_device)
+        assert run_verify(tmp_path, frames, tmp_path / "written") == 0
+        linked, written = snapshot(tmp_path / "linked"), snapshot(tmp_path / "written")
+        assert linked.keys() == written.keys()
+        for name in linked:
+            if name != "summary.json":
+                assert written[name][0] == linked[name][0], name
+        s_linked, s_written = summary_of(tmp_path / "linked"), summary_of(tmp_path / "written")
+        assert (s_linked.pop("frames_linked"), s_written.pop("frames_linked")) == (5, 0)
+        assert s_written == s_linked
+        for name in s_written["files"][:5]:
+            assert (tmp_path / "written" / name).stat().st_nlink == 1
+
+    @pytest.mark.parametrize("fields, flat", [
+        ({}, "0"),
+        ({"drive": {"flat_event_tol": 0.5}}, "1"),
+        ({"tolerances": {"flat": 0.5}}, "1"),
+    ], ids=["default", "drive", "tolerances"])
+    def test_flat_tolerance(self, tmp_path, fields, flat):
+        frames = export_type1(tmp_path)
+        assert run_verify(tmp_path, frames, tmp_path / "o", **fields) == 0
+        rows = (tmp_path / "o" / "path.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == [flat] * 5
+
+    def test_other_drive_keys_refused(self, tmp_path):
+        frames = export_type1(tmp_path)
+        code = run_verify(tmp_path, frames, tmp_path / "o",
+                          drive={"flat_event_tol": 0.5, "max_steps": 1})
+        assert code == 1
+        summary = summary_of(tmp_path / "o")
+        assert summary["error"]["type"] == "ValidationError"
+        assert summary["error"]["message"].startswith("drive:")
+        assert "max_steps" in summary["error"]["message"]
+        assert not (tmp_path / "o" / "frame_0000.obj").exists()
