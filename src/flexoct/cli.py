@@ -2,7 +2,7 @@
 
 Jobs are described by a JSON file and dispatched by command:
 
-    flexoct <command> --spec job.json [--out DIR] [--steps N] [--tol X]
+    flexoct <command> --spec job.json [--out DIR]
 
 with commands build-type1, build-type1-mirror, build-type2, build-type3,
 classify, flex, verify, and fourbar.  Flexion frames are exported as
@@ -63,7 +63,9 @@ _ALLOWED_KEYS = {
     "verify": {"frames_dir", "source", "drive"},
     "fourbar": {"sides"},
 }
-_COMMON_KEYS = {"command", "out", "tolerances"}
+# the commands whose reports read tolerances.length_equality
+_TAKES_TOLERANCES = {"build-type1", "build-type1-mirror", "build-type2", "build-type3",
+                     "classify"}
 
 
 @dataclasses.dataclass
@@ -101,8 +103,6 @@ _DRIVE_SCALES = ("initial_step", "max_step", "min_step_factor", "corrector_tol",
 # relative tolerances: at 1 or above, corrector_tol accepts any frame, rank_tol
 # counts every direction as a flex and flat_event_tol every frame as flat
 _DRIVE_TOLS = ("corrector_tol", "rank_tol", "flat_event_tol")
-_SPEC_TOLS = ("corrector", "rank", "flat")
-_DRIVE_FLAGS = ("refine_flat_events", "track_facet_crossings")
 # the four-bar coefficients square sums of three sides; this keeps them finite
 _FOURBAR_SIDE_MAX = math.sqrt(sys.float_info.max) / 4.0
 
@@ -113,9 +113,9 @@ def _validate_drive(raw) -> dict:
     if not isinstance(raw, dict):
         raise ValidationError("drive", "expected an object")
     known = {f.name for f in dataclasses.fields(flexion.DriveSpec)}
-    unknown = set(raw) - known
+    unknown = sorted(set(raw) - known)
     if unknown:
-        raise ValidationError("drive", f"unknown keys {sorted(unknown)}")
+        raise ValidationError(f"drive.{unknown[0]}", "unknown key")
     drive = dict(raw)
     for name in _DRIVE_COUNTS:
         if name in drive and not (_is_int(drive[name]) and drive[name] > 0):
@@ -128,9 +128,6 @@ def _validate_drive(raw) -> dict:
     for name in _DRIVE_TOLS:
         if name in drive and not drive[name] < 1.0:
             raise ValidationError(f"drive.{name}", "must be below 1")
-    for name in _DRIVE_FLAGS:
-        if name in drive and not isinstance(drive[name], bool):
-            raise ValidationError(f"drive.{name}", "must be true or false")
     if "direction" in drive and not (_is_int(drive["direction"])
                                      and drive["direction"] in (1, -1)):
         raise ValidationError("drive.direction", "must be 1 or -1")
@@ -247,7 +244,7 @@ def _validate_payload(command: str, raw: dict) -> tuple[dict, list[str]]:
         if src["command"] not in ("build-type1", "build-type1-mirror",
                                   "build-type2", "build-type3"):
             raise ValidationError("source.command", f"{src['command']!r} is not a builder")
-        payload["source"] = _job_from_dict(src)
+        payload["source"] = _job_from_dict(src, source=True)
 
     if command in ("flex", "verify"):
         payload["drive"] = _validate_drive(raw.get("drive", {}))
@@ -259,27 +256,29 @@ def _validate_payload(command: str, raw: dict) -> tuple[dict, list[str]]:
     return payload, warns
 
 
-def _job_from_dict(raw: dict) -> JobSpec:
+def _job_from_dict(raw: dict, source: bool = False) -> JobSpec:
+    """A validated job; a ``source`` job (a flex or verify job's builder)
+    takes only its command and its builder's keys."""
     if not isinstance(raw, dict):
         raise ValidationError("spec", "top level must be an object")
     command = raw.get("command")
     if command not in COMMANDS:
         raise ValidationError("command", f"{command!r} is not one of {list(COMMANDS)}")
-    unknown = set(raw) - _ALLOWED_KEYS[command] - _COMMON_KEYS
-    if unknown:
-        raise ValidationError("spec", f"unknown keys {sorted(unknown)} for {command}")
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ValidationError("tolerances", "expected an object")
-    known_tols = {"length_equality", "corrector", "rank", "flat"}
-    bad = set(tolerances) - known_tols
-    if bad:
-        raise ValidationError("tolerances", f"unknown keys {sorted(bad)}")
-    for k, v in tolerances.items():
+    for k, v in sorted(tolerances.items()):
+        if k != "length_equality":
+            raise ValidationError(f"tolerances.{k}", "unknown key")
         if not _is_positive(v):
             raise ValidationError(f"tolerances.{k}", "must be a finite positive number")
-        if k in _SPEC_TOLS and not v < 1.0:
-            raise ValidationError(f"tolerances.{k}", "must be below 1")
+    allowed = _ALLOWED_KEYS[command] | {"command"}
+    if not source:
+        allowed |= {"out", "tolerances"} if command in _TAKES_TOLERANCES else {"out"}
+    unknown = set(raw) - allowed
+    if unknown:
+        raise ValidationError("source" if source else "spec",
+                              f"unknown keys {sorted(unknown)} for {command}")
     payload, warns = _validate_payload(command, raw)
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
@@ -484,13 +483,14 @@ def _write_summary(out_dir: Path, summary: dict) -> None:
         json.dumps(summary, indent=2, default=_json_default) + "\n")
 
 
-def _realization_report(r: Realization) -> dict:
-    """Edge lengths, rigidity and family matches; raises DegenerateFacet for
-    a realization with a (near-)zero-area facet."""
+def _realization_report(r: Realization, length_tol: float) -> dict:
+    """Edge lengths, rigidity and family matches, edge lengths equal within
+    length_tol of their mean; raises DegenerateFacet for a realization with
+    a (near-)zero-area facet."""
     el = octahedron.edge_lengths(r)
     rep = flexion.flex_dimension(r)
     cls = octahedron.classify_edge_lengths(
-        el, flat=r if octahedron.coplanarity_measure(r) <= 1e-6 else None)
+        el, flat=r if octahedron.coplanarity_measure(r) <= 1e-6 else None, tol=length_tol)
     return {
         "positions": r.as_dict(),
         "edge_lengths": el,
@@ -523,21 +523,6 @@ def _build_from_job(job: JobSpec):
             p["interior_point"])
         return r, construction
     raise AssertionError(job.command)
-
-
-def _drive_from_payload(job: JobSpec, overrides) -> flexion.DriveSpec:
-    kw = dict(job.payload.get("drive", {}))
-    if overrides.steps is not None:
-        kw["max_steps"] = overrides.steps
-    if overrides.tol is not None:
-        kw["corrector_tol"] = overrides.tol
-    if "corrector" in job.tolerances:
-        kw.setdefault("corrector_tol", job.tolerances["corrector"])
-    if "rank" in job.tolerances:
-        kw.setdefault("rank_tol", job.tolerances["rank"])
-    if "flat" in job.tolerances:
-        kw.setdefault("flat_event_tol", job.tolerances["flat"])
-    return flexion.DriveSpec(**_validate_drive(kw))
 
 
 def _verify_report(path_obj: flexion.FlexionPath) -> dict:
@@ -578,10 +563,10 @@ def _write_verify_csv(out_dir: Path, report: dict) -> None:
         json.dumps(report, indent=2, default=_json_default) + "\n")
 
 
-def run(job: JobSpec, out_dir=None, overrides=None) -> int:
+def run(job: JobSpec, out_dir=None) -> int:
     """Execute one job; returns the process exit status."""
-    overrides = overrides or argparse.Namespace(steps=None, tol=None)
     out = Path(out_dir or job.out or "flexoct_out")
+    length_tol = job.tolerances.get("length_equality", 1e-9)
     summary: dict = {"command": job.command, "status": "ok"}
     if job.warnings:
         summary["warnings"] = job.warnings
@@ -590,18 +575,17 @@ def run(job: JobSpec, out_dir=None, overrides=None) -> int:
             r, construction = _build_from_job(job)
             out.mkdir(parents=True, exist_ok=True)
             write_obj(r, out / "realization.obj")
-            summary["realization"] = _realization_report(r)
+            summary["realization"] = _realization_report(r, length_tol)
             summary["files"] = ["realization.obj"]
             if construction is not None:
                 summary["construction"] = dataclasses.asdict(construction)
         elif job.command == "classify":
             if "positions" in job.payload:
                 r = Realization.from_dict(job.payload["positions"])
-                summary["realization"] = _realization_report(r)
+                summary["realization"] = _realization_report(r, length_tol)
             else:
                 el = job.payload["edge_lengths"]
-                cls = octahedron.classify_edge_lengths(
-                    el, tol=job.tolerances.get("length_equality", 1e-9))
+                cls = octahedron.classify_edge_lengths(el, tol=length_tol)
                 summary["violations"] = octahedron.validate(el)
                 summary["matches_type1"] = cls.matches_type1
                 summary["matches_type2"] = ["".join(p) for p in cls.matches_type2]
@@ -614,16 +598,15 @@ def run(job: JobSpec, out_dir=None, overrides=None) -> int:
         elif job.command in ("flex", "verify"):
             sources = ()
             if job.command == "verify" and "frames_dir" in job.payload:
-                flat_tol = job.payload["drive"].get("flat_event_tol", job.tolerances.get(
-                    "flat", flexion.DriveSpec.flat_event_tol))
+                flat_tol = job.payload["drive"].get("flat_event_tol",
+                                                    flexion.DriveSpec.flat_event_tol)
                 path_obj, sources = _load_frames_dir(job.payload["frames_dir"], flat_tol)
             else:
                 if "positions" in job.payload:
                     r = Realization.from_dict(job.payload["positions"])
                 else:
                     r, _ = _build_from_job(job.payload["source"])
-                drive = _drive_from_payload(job, overrides)
-                path_obj = flexion.flex_path(r, drive)
+                path_obj = flexion.flex_path(r, flexion.DriveSpec(**job.payload["drive"]))
             summary["frames"] = len(path_obj.frames)
             summary["max_edge_deviation"] = float(np.max(path_obj.edge_deviation))
             summary["termination"] = path_obj.termination
@@ -668,13 +651,11 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--spec", required=True, help="JSON job specification")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--steps", type=int, default=None,
-                        help="override drive.max_steps")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="override the corrector tolerance")
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
 
     try:
+        if unknown:
+            raise ValidationError("arguments", f"unknown command-line arguments {unknown}")
         spec = load_spec(args.spec)
         for i, job in enumerate(spec if isinstance(spec, list) else [spec]):
             if job.command != args.command:
@@ -690,9 +671,9 @@ def main(argv=None) -> int:
 
     if isinstance(spec, list):
         base = Path(args.out or "flexoct_out")
-        codes = [run(job, base / f"case_{i:03d}", args) for i, job in enumerate(spec)]
+        codes = [run(job, base / f"case_{i:03d}") for i, job in enumerate(spec)]
         return max(codes) if codes else 0
-    return run(spec, args.out, args)
+    return run(spec, args.out)
 
 
 if __name__ == "__main__":

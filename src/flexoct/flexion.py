@@ -14,11 +14,12 @@ converging.
 Flat (coplanar) configurations are first-order degenerate: every
 out-of-plane displacement is an infinitesimal flex.  A flat start's tangent
 is the common zero of the three self-stress quadratic forms (a genuine flex
-annihilates them), found in closed form from their conic pencils; the path
-launches with a second-order predictor.  Flat crossings met along a path are
-recorded as events, not failures.  The heights of the non-pinned vertices
-above the pin plane are odd about a crossing, so a step whose end heights
-point against its start heights brackets one.  The secant zero of the
+annihilates them), found in closed form from their conic pencils; the
+corrected second-order probe that picks among them is the path's first step.
+Flat crossings met along a path are recorded as events, not failures.  The
+heights of the non-pinned vertices above the pin plane are odd about a
+crossing, so a step whose end heights point against its start heights
+brackets one.  The secant zero of the
 heights along that step's chord starts a Gauss-Newton solve of the edge
 constraints with the heights held at zero, where they are not degenerate;
 the flat configuration it converges to is inserted as the event frame.
@@ -102,8 +103,6 @@ class DriveSpec:
     rank_tol: float = 1e-7
     flat_event_tol: float = 1e-6
     stop_after_flat_events: int | None = None
-    refine_flat_events: bool = True
-    track_facet_crossings: bool = False
     pin: tuple[str, str, str] = ("A", "B", "C")
 
 
@@ -535,18 +534,20 @@ def _common_quadric_zero(mats: list[np.ndarray]) -> list[np.ndarray]:
     return sols
 
 
-def _flat_start_tangent(sys: _System, x0: np.ndarray, null: np.ndarray,
-                        stresses: np.ndarray, drive: DriveSpec
-                        ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Second-order tangent and acceleration for leaving a flat configuration
-    with a three-dimensional null space and its three self-stresses, and the
-    step at which one of them first corrects: drive.initial_step, halved
-    down to its floor while no direction corrects."""
+def _flat_start_step(sys: _System, x0: np.ndarray, null: np.ndarray,
+                     stresses: np.ndarray, drive: DriveSpec, orient
+                     ) -> tuple[np.ndarray, np.ndarray, float]:
+    """The first step out of a flat configuration with a three-dimensional
+    null space and its three self-stresses: the tangent, the corrected point
+    and the step h.  Each candidate tangent is oriented by ``orient`` and
+    predicted to second order; of those that correct at h the one corrected
+    least is taken, h being drive.initial_step, halved down to its floor
+    while no candidate corrects."""
     mats = [sys.stress_quadric(lam[:12], null) for lam in stresses]
     dirs = []
     for u in _common_quadric_zero(mats):
         v = null.T @ u
-        v = v / np.linalg.norm(v)
+        v = orient(v / np.linalg.norm(v))
         dirs.append((v, sys.acceleration(x0, v)))
     h = drive.initial_step
     while dirs and h >= drive.initial_step * drive.min_step_factor:
@@ -560,7 +561,7 @@ def _flat_start_tangent(sys: _System, x0: np.ndarray, null: np.ndarray,
                 continue
             corr = float(np.linalg.norm(x_new - x_pred))
             if best is None or corr < best[0]:
-                best = (corr, v, acc)
+                best = (corr, v, x_new)
         if best is not None:
             return best[1], best[2], h
         h *= 0.5
@@ -592,14 +593,7 @@ def flex_path(r0: Realization, drive: DriveSpec = DriveSpec()) -> FlexionPath:
     null, pinv, stresses = sys.null_space(x, drive.rank_tol)
     if null.shape[0] == 0:
         raise NotFlexible("flex dimension 0: the pinned Jacobian has full rank")
-    meta = {
-        "corrector_tol": drive.corrector_tol,
-        "max_newton": drive.max_newton,
-        "rank_tol": drive.rank_tol,
-        "initial_step": drive.initial_step,
-        "min_step_factor": drive.min_step_factor,
-        "pin": list(drive.pin),
-        "corrector": sys.counts}
+    meta = {"corrector": sys.counts}
     xs, arcs, measures = [x], [0.0], [coplanarity_measure(r0)]
     events: list[PathEvent] = []
 
@@ -619,30 +613,29 @@ def flex_path(r0: Realization, drive: DriveSpec = DriveSpec()) -> FlexionPath:
                 and flat_events >= drive.stop_after_flat_events:
             return path("flat_event_target")
 
-    h = drive.initial_step
-    acc = None
-    if null.shape[0] == 1:
-        tau = null[0]
-    elif flat(0) and null.shape[0] == 3:
-        tau, acc, h = _flat_start_tangent(sys, x, null, stresses, drive)
-    else:
-        raise BranchAmbiguity(
-            f"tangent space dimension {null.shape[0]} at a "
-            f"{'flat' if flat(0) else 'non-flat'} start", path(""))
-
     # orient so the driven dihedral initially moves with drive.direction; at a
     # flat start this picks between the two mirror-image ways out of the plane
     eps = 1e-6 * sys.diam
     e = canonical_edge(drive.edge[0], drive.edge[1])
-    d0 = dihedral_angle(Realization.from_flat(x), e)
-    d1 = dihedral_angle(Realization.from_flat(x + eps * tau), e)
-    delta = _wrap_angle(d1 - d0)
-    if abs(delta) > 1e-12 and math.copysign(1.0, delta) != drive.direction:
-        tau = -tau
-        # acceleration is even in the tangent, nothing else to flip
-    chord = np.column_stack([pinv, tau * sys.diam]) if null.shape[0] == 1 else None
+    d0 = dihedral_angle(r0, e)
 
-    crossings = _facet_crossing_set(r0) if drive.track_facet_crossings else None
+    def orient(tau: np.ndarray) -> np.ndarray:
+        delta = _wrap_angle(dihedral_angle(Realization.from_flat(x + eps * tau), e) - d0)
+        flip = abs(delta) > 1e-12 and math.copysign(1.0, delta) != drive.direction
+        return -tau if flip else tau
+
+    h = drive.initial_step
+    first = None  # a flat start's corrected first step
+    if null.shape[0] == 1:
+        tau = orient(null[0])
+        chord = np.column_stack([pinv, tau * sys.diam])
+    elif flat(0) and null.shape[0] == 3:
+        tau, first, h = _flat_start_step(sys, x, null, stresses, drive, orient)
+        chord = None
+    else:
+        raise BranchAmbiguity(
+            f"tangent space dimension {null.shape[0]} at a "
+            f"{'flat' if flat(0) else 'non-flat'} start", path(""))
 
     h_floor = drive.initial_step * drive.min_step_factor
     arc = 0.0
@@ -676,18 +669,18 @@ def flex_path(r0: Realization, drive: DriveSpec = DriveSpec()) -> FlexionPath:
     termination = "max_steps"
     step_count = 0
     while step_count < drive.max_steps:
-        x_pred = x + h * sys.diam * tau
-        if acc is not None:
-            x_pred = x_pred + 0.5 * (h * sys.diam) ** 2 * acc
-        x_new, ok = sys.correct(x_pred, x, tau, h, drive.corrector_tol,
-                                drive.max_newton, chord)
-        if not ok:
-            h *= 0.5
-            if h < h_floor:
-                raise ContinuationStall(
-                    f"corrector failed at step {step_count}, step size {h:g}", path("stall"))
-            continue
-        acc = None
+        if first is not None:
+            x_new, first = first, None
+        else:
+            x_new, ok = sys.correct(x + h * sys.diam * tau, x, tau, h, drive.corrector_tol,
+                                    drive.max_newton, chord)
+            if not ok:
+                h *= 0.5
+                if h < h_floor:
+                    raise ContinuationStall(
+                        f"corrector failed at step {step_count}, step size {h:g}",
+                        path("stall"))
+                continue
 
         arc += float(np.linalg.norm(x_new - x)) / sys.diam
         step_count += 1
@@ -720,23 +713,13 @@ def flex_path(r0: Realization, drive: DriveSpec = DriveSpec()) -> FlexionPath:
         x, heights = x_new, heights_new
 
         k = len(xs) - 1
-        if drive.refine_flat_events and not flat(k - 1) and (
-                flat(k) or crossed and insert_flat(k)):
+        if not flat(k - 1) and (flat(k) or crossed and insert_flat(k)):
             events.append(PathEvent("flat", k, {"measure": measures[k]}))
             flat_events += 1
             if drive.stop_after_flat_events is not None \
                     and flat_events >= drive.stop_after_flat_events:
                 termination = "flat_event_target"
                 break
-
-        if crossings is not None:
-            now = _facet_crossing_set(Realization.from_flat(x_new))
-            if now != crossings:
-                events.append(PathEvent(
-                    "facet_crossing_change", len(xs) - 1,
-                    {"gained": sorted(map(list, now - crossings)),
-                     "lost": sorted(map(list, crossings - now))}))
-                crossings = now
 
         if check_range and not lo <= dihedral_angle(Realization.from_flat(x_new), e) <= hi:
             termination = "range_exit"
@@ -745,7 +728,3 @@ def flex_path(r0: Realization, drive: DriveSpec = DriveSpec()) -> FlexionPath:
         h = min(h * 1.4, drive.max_step)
 
     return path(termination)
-
-
-def _facet_crossing_set(r: Realization) -> frozenset:
-    return frozenset(facet_crossings(r))

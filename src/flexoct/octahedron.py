@@ -317,31 +317,6 @@ def vertex_half_tangents(r: Realization, v: str, pair: tuple[str, str]) -> tuple
     return math.tan(0.5 * phi), math.tan(0.5 * psi)
 
 
-def opposite_pair_cosines(r: Realization, v: str,
-                          pair: tuple[str, str]) -> tuple[FaceAngles, float, float]:
-    """Face angles and dihedral cosines for an opposite edge pair at v.
-
-    pair = (p, s) must be non-adjacent neighbors of v (the two edges are
-    opposite in the tetrahedral angle).  Returns FaceAngles ordered so that
-    the first tracked dihedral phi runs along (v, p) and theta along (v, s),
-    together with (cos phi, cos theta).
-    """
-    cyc = VERTEX_CYCLES[v]
-    p, s = pair
-    if p not in cyc or s not in cyc:
-        raise NonAdjacentEdges(f"{p} or {s} is not adjacent to {v}")
-    if (cyc.index(p) - cyc.index(s)) % 4 != 2:
-        raise NonAdjacentEdges(f"edges {v}{p} and {v}{s} are not opposite at {v}")
-    i = cyc.index(p)
-    q, w = cyc[(i + 1) % 4], cyc[(i + 3) % 4]  # cycle p, q, s, w
-    # alpha, beta, gamma, delta span (w, p), (p, q), (q, s), (s, w)
-    angles = FaceAngles(*map(float, face_angle(
-        r.points, _VIDX[v], _vertex_indices((w, p, q, s)), _vertex_indices((p, q, s, w)))))
-    cos_phi = math.cos(dihedral_angle(r, canonical_edge(v, p)))
-    cos_theta = math.cos(dihedral_angle(r, canonical_edge(v, s)))
-    return angles, cos_phi, cos_theta
-
-
 def validate(el: dict[str, float]) -> list[str]:
     """Names of facets whose three edges violate the triangle inequality."""
     bad = []

@@ -1,5 +1,6 @@
 """Tests for the command line interface, job specs, and exporters."""
 
+import dataclasses
 import errno
 import json
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from flexoct import cli
-from flexoct.builders import build_type1
+from flexoct.builders import build_type1, build_type2
 from flexoct.cli import (IoError, JobSpec, ParseError, ValidationError,
                          export_frames, load_spec, read_obj, write_obj)
 from flexoct.flexion import DriveSpec, FlexionPath, flex_path
@@ -18,6 +19,7 @@ from flexoct.octahedron import (EDGE_ORDER, Realization, edge_lengths,
                                 regular_octahedron)
 
 EXAMPLE_T1 = {"A": [1, 0, 0.5], "B": [0.1, 1, -0.4], "F": [0.7, -0.8, 0.1]}
+EXAMPLE_T2 = {"C": [0, 0, 1], "F": [0.2, 0, -1], "A": [1, 0.7, 0.3], "E": [-0.9, 0.5, -0.2]}
 
 
 def write_spec(tmp_path, obj, name="job.json"):
@@ -144,6 +146,48 @@ class TestRun:
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert summary["realization"]["matches_type1"]
         assert summary["realization"]["flex_dimension"] == 1
+
+    def test_build_type2(self, tmp_path):
+        spec = write_spec(tmp_path, {"command": "build-type2", "points": EXAMPLE_T2,
+                                     "plane": {"point": [0, 0, 0], "normal": [0, 1, 0]}})
+        code = cli.main(["build-type2", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert code == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["status"] == "ok"
+        assert summary["realization"]["matches_type2"] == ["CF"]
+        assert summary["realization"]["flex_dimension"] == 1
+        r = read_obj(tmp_path / "o" / "realization.obj")
+        assert r["D"] == pytest.approx([1, -0.7, 0.3])
+
+    def test_build_type3(self, tmp_path):
+        spec = write_spec(tmp_path, {"command": "build-type3",
+                                     "triangle": {"A": [0, 0], "B": [4, 0], "C": [1, 2.5]},
+                                     "interior_point": [1.5, 0.9]})
+        code = cli.main(["build-type3", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert code == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["status"] == "ok"
+        assert summary["realization"]["degenerate_flag"]  # a flat realization
+        assert summary["realization"]["type3_residual"] <= 1e-10
+        assert summary["construction"]["ceva_residual"] <= 1e-10
+        assert (tmp_path / "o" / "realization.obj").exists()
+
+    def test_length_equality(self, tmp_path):
+        """tolerances.length_equality sets the family matches of classify, by
+        positions as by edge lengths, and of the builders' reports."""
+        r = build_type2(*(EXAMPLE_T2[v] for v in "CFAE"))
+        loose = {"tolerances": {"length_equality": 0.9}}
+        jobs = {
+            "positions": {"command": "classify", "positions": r.as_dict()},
+            "edge_lengths": {"command": "classify", "edge_lengths": edge_lengths(r)},
+            "build": {"command": "build-type2", "points": EXAMPLE_T2}}
+        for name, job in jobs.items():
+            for extra, matches in (({}, False), (loose, True)):
+                out = tmp_path / f"{name}_{bool(extra)}"
+                spec = write_spec(tmp_path, {**job, **extra})
+                assert cli.main([job["command"], "--spec", str(spec), "--out", str(out)]) == 0
+                summary = json.loads((out / "summary.json").read_text())
+                assert summary.get("realization", summary)["matches_type1"] is matches, name
 
     def test_flex_on_mirror_exits_2(self, tmp_path):
         spec = write_spec(tmp_path, {
@@ -351,13 +395,12 @@ class TestRun:
         assert len(list((tmp_path / "o").glob("frame_*.obj"))) == 3
         assert summary["max_edge_deviation"] == max(float(r.split(",")[-2]) for r in rows)
 
-    def test_steps_override(self, tmp_path):
+    def test_drive_max_steps(self, tmp_path):
         spec = write_spec(tmp_path, {
             "command": "flex",
             "source": {"command": "build-type1", "points": EXAMPLE_T1},
-            "drive": {"max_steps": 500}})
-        code = cli.main(["flex", "--spec", str(spec), "--out", str(tmp_path / "o"),
-                         "--steps", "5"])
+            "drive": {"max_steps": 5}})
+        code = cli.main(["flex", "--spec", str(spec), "--out", str(tmp_path / "o")])
         assert code == 0
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert summary["frames"] == 6
@@ -387,7 +430,9 @@ class TestDriveValidation:
         ({"corrector_tol": 10}, "drive.corrector_tol"),
         ({"rank_tol": 1}, "drive.rank_tol"),
         ({"flat_event_tol": 1.5}, "drive.flat_event_tol"),
-    ])
+    ] + [pytest.param({f.name: 5 if f.type == "str" else "x"}, f"drive.{f.name}",
+                      id=f"ill_typed-{f.name}")
+         for f in dataclasses.fields(DriveSpec)])
     def test_rejected(self, tmp_path, drive, field):
         spec = write_spec(tmp_path, {
             "command": "flex",
@@ -409,7 +454,7 @@ class TestDriveValidation:
             "source": {"command": "build-type1", "points": EXAMPLE_T1},
             "drive": {"max_steps": 3, "corrector_tol": 1e-11, "initial_step": 1,
                       "stop_after_flat_events": None, "direction": -1,
-                      "edge": "CB", "refine_flat_events": False}}))
+                      "edge": "CB"}}))
         assert spec.payload["drive"]["initial_step"] == 1.0
         assert isinstance(spec.payload["drive"]["initial_step"], float)
 
@@ -425,25 +470,63 @@ class TestDriveValidation:
         assert summary["error"]["type"] == "ValidationError"
         assert f"tolerances.{key}" in summary["error"]["message"]
 
-    def test_tol_override_below_one(self, tmp_path):
+    @staticmethod
+    def assert_unknown_arguments(tmp_path, *args):
+        """Command-line arguments other than --spec and --out are an input
+        error naming them, with a summary and exit status 1."""
         spec = write_spec(tmp_path, {
             "command": "flex",
             "source": {"command": "build-type1", "points": EXAMPLE_T1}})
-        code = cli.main(["flex", "--spec", str(spec), "--out", str(tmp_path / "o"),
-                         "--tol", "10"])
+        code = cli.main(["flex", "--spec", str(spec), "--out", str(tmp_path / "o"), *args])
         assert code == 1
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
-        assert "drive.corrector_tol" in summary["error"]["message"]
+        assert summary["error"]["type"] == "ValidationError"
+        assert summary["error"]["message"].startswith("arguments:")
+        assert all(a in summary["error"]["message"] for a in args)
+        assert not (tmp_path / "o" / "frame_0000.obj").exists()
+
+    def test_tol_override_below_one(self, tmp_path):
+        self.assert_unknown_arguments(tmp_path, "--tol", "10")
 
     def test_negative_steps_override(self, tmp_path):
-        spec = write_spec(tmp_path, {
-            "command": "flex",
-            "source": {"command": "build-type1", "points": EXAMPLE_T1}})
-        code = cli.main(["flex", "--spec", str(spec), "--out", str(tmp_path / "o"),
-                         "--steps", "-5"])
+        self.assert_unknown_arguments(tmp_path, "--steps", "-5")
+
+    @pytest.mark.parametrize("raw, field", [
+        ({"command": "classify", "positions": regular_octahedron().as_dict(),
+          "tolerances": {"corrector": 1e-12}}, "tolerances.corrector"),
+        ({"command": "flex", "positions": regular_octahedron().as_dict(),
+          "tolerances": {"length_equality": 1e-9}}, "spec"),
+        ({"command": "verify", "frames_dir": "frames",
+          "tolerances": {"length_equality": 1e-9}}, "spec"),
+        ({"command": "fourbar", "sides": [1, 1, 1, 1],
+          "tolerances": {"length_equality": 1e-9}}, "spec"),
+        ({"command": "flex", "source": {"command": "build-type1", "points": EXAMPLE_T1},
+          "drive": {"refine_flat_events": True}}, "drive.refine_flat_events"),
+        ({"command": "flex", "source": {"command": "build-type1", "points": EXAMPLE_T1},
+          "drive": {"track_facet_crossings": False}}, "drive.track_facet_crossings"),
+        ({"command": "flex", "source": {"command": "build-type1", "points": EXAMPLE_T1,
+                                        "out": "elsewhere"}}, "source"),
+        ({"command": "verify", "source": {"command": "build-type1", "points": EXAMPLE_T1,
+                                          "tolerances": {"length_equality": 1e-9}}},
+         "source"),
+        ({"command": "flex", "source": {"command": "build-type1", "points": EXAMPLE_T1,
+                                        "tolerances": {"corrector": 0.9}}},
+         "tolerances.corrector"),
+    ], ids=["tolerances.corrector", "flex-tolerances", "verify-tolerances",
+            "fourbar-tolerances", "drive.refine_flat_events", "drive.track_facet_crossings",
+            "source.out", "source.tolerances", "source.tolerances.corrector"])
+    def test_removed_spellings_refused(self, tmp_path, raw, field):
+        """Each removed or never-read spec input is a named input error, with
+        a summary and exit status 1, before any work is done (the removed
+        --steps and --tol flags: the two tests above)."""
+        spec = write_spec(tmp_path, raw)
+        code = cli.main([raw["command"], "--spec", str(spec), "--out", str(tmp_path / "o")])
         assert code == 1
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
-        assert "drive.max_steps" in summary["error"]["message"]
+        assert summary["status"] == "error"
+        assert summary["error"]["type"] == "ValidationError"
+        assert summary["error"]["message"].startswith(f"{field}:")
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["summary.json"]
 
     @pytest.mark.parametrize("raw, field", [
         ({"command": "flex",
@@ -595,8 +678,7 @@ class TestVerifyFramesDir:
     @pytest.mark.parametrize("fields, flat", [
         ({}, "0"),
         ({"drive": {"flat_event_tol": 0.5}}, "1"),
-        ({"tolerances": {"flat": 0.5}}, "1"),
-    ], ids=["default", "drive", "tolerances"])
+    ], ids=["default", "drive"])
     def test_flat_tolerance(self, tmp_path, fields, flat):
         frames = export_type1(tmp_path)
         assert run_verify(tmp_path, frames, tmp_path / "o", **fields) == 0

@@ -358,11 +358,14 @@ class TestFacetCrossings:
         for f1, f2 in crossings:
             assert len(set(f1) & set(f2)) <= 1
 
-    def test_events_along_path(self):
+    def test_crossings_along_path(self):
+        """The crossing set is computed on every frame of a path, starting
+        from the start's own, and never pairs facets that share an edge."""
         r = build_type1(*EXAMPLE_T1)
-        path = flex_path(r, drive=DriveSpec(max_steps=60, track_facet_crossings=True))
-        # the crossing set is recomputed per frame without error
-        assert path.frames
+        path = flex_path(r, drive=DriveSpec(max_steps=60))
+        crossings = [facet_crossings(Realization(p)) for p in path.points]
+        assert crossings[0] == facet_crossings(r)
+        assert all(len(set(f1) & set(f2)) <= 1 for pairs in crossings for f1, f2 in pairs)
 
 
 class TestCorrector:
@@ -508,3 +511,23 @@ class TestFlatStart:
             assert np.max(path.edge_deviation) <= 1e-8
             assert np.diff(path.arclength)[0] < 0.02
             TestFlatCrossings.assert_no_missed_crossing(path)
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_first_step_is_the_probe(self, monkeypatch, direction):
+        """The first step out of a flat start is the corrected point of the
+        probe that chose the direction, so no prediction is corrected twice,
+        and the driven dihedral leaves in drive.direction."""
+        predictions = []
+        correct = _System.correct
+
+        def recording(self, x_pred, *args, **kwargs):
+            predictions.append(x_pred.tobytes())
+            return correct(self, x_pred, *args, **kwargs)
+
+        monkeypatch.setattr(_System, "correct", recording)
+        _, r = build_type3_flat(*EXAMPLE_T3)
+        path = flex_path(r, drive=DriveSpec(max_steps=3, direction=direction))
+        assert len(path.frames) == 4
+        assert len(set(predictions)) == len(predictions)
+        assert math.copysign(1.0, path.dihedral_series("BC")[1]
+                             - path.dihedral_series("BC")[0]) == direction
