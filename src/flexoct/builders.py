@@ -136,8 +136,8 @@ def _mirror_central(el: dict[str, float]) -> Realization | None:
     return Realization(np.array([pa, pb, pc, -pa, -pb, -pc]))
 
 
-def _first_order_rigid(r: Realization, rank_tol: float = 1e-7) -> bool:
-    return flex_dimension(r, rank_tol=rank_tol).flex_dimension == 0
+def _first_order_rigid(r: Realization) -> bool:
+    return flex_dimension(r).flex_dimension == 0
 
 
 def _mirror_general(el: dict[str, float], sgn_b: float,
@@ -202,9 +202,9 @@ def _chirality(r: Realization, triple: tuple[str, str, str]) -> float:
     return float(np.sign(np.linalg.det(m)))
 
 
-def _lengths_match(r: Realization, el: dict[str, float], rtol: float = 1e-9) -> bool:
+def _lengths_match(r: Realization, el: dict[str, float]) -> bool:
     got = edge_lengths(r, check=False)
-    return all(abs(got[k] - el[k]) <= rtol * el[k] for k in el)
+    return all(abs(got[k] - el[k]) <= 1e-9 * el[k] for k in el)
 
 
 def build_type1_mirror(p_a, p_b, p_f, axis_point=(0.0, 0.0, 0.0),

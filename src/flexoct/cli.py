@@ -43,7 +43,7 @@ class ValidationError(ValueError):
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
-        self.field = field
+        self.field, self.message = field, message
 
 
 class IoError(OSError):
@@ -150,8 +150,8 @@ def _validate_drive(raw) -> dict:
     if "pin" in drive:
         pin = drive["pin"]
         if (not isinstance(pin, (list, tuple)) or len(pin) != 3
-                or any(v not in VERTICES for v in pin)):
-            raise ValidationError("drive.pin", "expected three vertex labels")
+                or any(v not in VERTICES for v in pin) or len(set(pin)) != 3):
+            raise ValidationError("drive.pin", "expected three distinct vertex labels")
         drive["pin"] = tuple(pin)
     return drive
 
@@ -239,12 +239,17 @@ def _validate_payload(command: str, raw: dict) -> tuple[dict, list[str]]:
 
     if command in ("flex", "verify") and "source" in raw:
         src = raw["source"]
-        if not isinstance(src, dict) or "command" not in src:
+        if not isinstance(src, dict):
             raise ValidationError("source", "expected a nested build job")
-        if src["command"] not in ("build-type1", "build-type1-mirror",
-                                  "build-type2", "build-type3"):
-            raise ValidationError("source.command", f"{src['command']!r} is not a builder")
-        payload["source"] = _job_from_dict(src, source=True)
+        if src.get("command") not in ("build-type1", "build-type1-mirror",
+                                      "build-type2", "build-type3"):
+            raise ValidationError("source.command", f"{src.get('command')!r} is not a builder")
+        try:
+            payload["source"] = _job_from_dict(src, source=True)
+        except ValidationError as exc:
+            # the source object itself is "source", as the top level is "spec"
+            field = "source" if exc.field == "spec" else f"source.{exc.field}"
+            raise ValidationError(field, exc.message) from None
 
     if command in ("flex", "verify"):
         payload["drive"] = _validate_drive(raw.get("drive", {}))
@@ -277,8 +282,7 @@ def _job_from_dict(raw: dict, source: bool = False) -> JobSpec:
         allowed |= {"out", "tolerances"} if command in _TAKES_TOLERANCES else {"out"}
     unknown = set(raw) - allowed
     if unknown:
-        raise ValidationError("source" if source else "spec",
-                              f"unknown keys {sorted(unknown)} for {command}")
+        raise ValidationError("spec", f"unknown keys {sorted(unknown)} for {command}")
     payload, warns = _validate_payload(command, raw)
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
@@ -490,7 +494,8 @@ def _realization_report(r: Realization, length_tol: float) -> dict:
     el = octahedron.edge_lengths(r)
     rep = flexion.flex_dimension(r)
     cls = octahedron.classify_edge_lengths(
-        el, flat=r if octahedron.coplanarity_measure(r) <= 1e-6 else None, tol=length_tol)
+        el, flat=r if octahedron.coplanarity_measure(r) <= octahedron.FLAT_TOL else None,
+        tol=length_tol)
     return {
         "positions": r.as_dict(),
         "edge_lengths": el,
@@ -644,18 +649,34 @@ def run(job: JobSpec, out_dir=None) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error as a ValidationError instead of exiting 2, the
+    not-flexible and stall status."""
+
+    def error(self, message):
+        raise ValidationError("arguments", message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="flexoct",
         description="Construct, classify, flex, and verify articulated octahedra.")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--spec", required=True, help="JSON job specification")
+    parser.add_argument("command", nargs="?", help=f"one of {', '.join(COMMANDS)}")
+    parser.add_argument("--spec", help="JSON job specification (required)")
     parser.add_argument("--out", default=None, help="output directory")
-    args, unknown = parser.parse_known_args(argv)
+    # parsing fills in the defaults first and then each argument, so a usage
+    # error still finds --out when it came first
+    args = argparse.Namespace()
 
     try:
+        _, unknown = parser.parse_known_args(argv, args)
+        if args.command not in COMMANDS:
+            raise ValidationError("command", f"expected one of {list(COMMANDS)}, "
+                                             f"got {args.command!r}")
         if unknown:
             raise ValidationError("arguments", f"unknown command-line arguments {unknown}")
+        if args.spec is None:
+            raise ValidationError("arguments", "--spec is required")
         spec = load_spec(args.spec)
         for i, job in enumerate(spec if isinstance(spec, list) else [spec]):
             if job.command != args.command:

@@ -40,16 +40,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .octahedron import (EDGE_INCIDENCE, EDGE_ORDER, FACET_NAMES, FACET_VERTS,
-                         VERTICES, Realization, canonical_edge, check_facets,
+from .octahedron import (EDGE_INCIDENCE, EDGE_ORDER, FACET_NAMES, FACET_VERTS, FACETS,
+                         FLAT_TOL, VERTICES, Realization, canonical_edge, check_facets,
                          coplanarity_measure, dihedral_angle, dihedral_array,
-                         dot_rows, edge_length_array, edge_vectors, row_norms)
+                         dot_rows, edge_length_array, edge_vectors, facet_normals,
+                         row_norms)
 # no longer called here; kept bound because the benchmark's span tracer test
 # checks that it patches this module's binding of all_dihedrals too
 from .octahedron import all_dihedrals  # noqa: F401
 
 
 _LINE_STEPS = 0.5 ** np.arange(13)  # the Gauss-Newton line search's step factors
+# singular values below RANK_TOL times the largest count as zero
+RANK_TOL = 1e-7
 
 
 class NotFlexible(ValueError):
@@ -100,8 +103,8 @@ class DriveSpec:
     min_step_factor: float = 1e-6
     corrector_tol: float = 1e-12
     max_newton: int = 25
-    rank_tol: float = 1e-7
-    flat_event_tol: float = 1e-6
+    rank_tol: float = RANK_TOL
+    flat_event_tol: float = FLAT_TOL
     stop_after_flat_events: int | None = None
     pin: tuple[str, str, str] = ("A", "B", "C")
 
@@ -192,7 +195,7 @@ def rigidity_matrix(r: Realization) -> np.ndarray:
     return (EDGE_INCIDENCE[:, :, None] * d[:, None, :]).reshape(12, 18)
 
 
-def flex_dimension(r: Realization, rank_tol: float = 1e-7) -> RigidityReport:
+def flex_dimension(r: Realization, rank_tol: float = RANK_TOL) -> RigidityReport:
     """Numerical rank of the rigidity matrix and the flex count 18 - 6 - rank.
 
     Coplanar realizations are flagged degenerate: every out-of-plane
@@ -205,90 +208,17 @@ def flex_dimension(r: Realization, rank_tol: float = 1e-7) -> RigidityReport:
         singular_values=sv,
         rank=rank,
         flex_dimension=18 - 6 - rank,
-        degenerate_flag=coplanarity_measure(r) <= 1e-6)
+        degenerate_flag=coplanarity_measure(r) <= FLAT_TOL)
 
 
 # ---------------------------------------------------------------------------
 # facet-facet intersections
 
 
-def _tri_tri_cross(t1: np.ndarray, t2: np.ndarray, tol: float) -> bool:
-    """True when two triangles intersect in more than a shared point.
-
-    Interval test on the plane-intersection line; coplanar pairs fall back
-    to a polygon-clip area test.  A contact limited to a single point (for
-    example a shared vertex) does not count.
-    """
-    n1 = np.cross(t1[1] - t1[0], t1[2] - t1[0])
-    n2 = np.cross(t2[1] - t2[0], t2[2] - t2[0])
-    s1, s2 = np.linalg.norm(n1), np.linalg.norm(n2)
-    if s1 == 0.0 or s2 == 0.0:
-        return False
-    n1, n2 = n1 / s1, n2 / s2
-    d2 = (t2 - t1[0]) @ n1
-    d1 = (t1 - t2[0]) @ n2
-    if np.all(d2 > tol) or np.all(d2 < -tol):
-        return False
-    if np.all(d1 > tol) or np.all(d1 < -tol):
-        return False
-
-    if np.max(np.abs(d2)) <= tol and np.max(np.abs(d1)) <= tol:
-        # coplanar: Sutherland-Hodgman clip of t2 by t1, 2-d area test
-        axis = int(np.argmax(np.abs(n1)))
-        keep = [k for k in range(3) if k != axis]
-        p1 = t1[:, keep]
-        poly = [q for q in t2[:, keep]]
-        sign = np.sign((p1[1] - p1[0])[0] * (p1[2] - p1[0])[1]
-                       - (p1[1] - p1[0])[1] * (p1[2] - p1[0])[0]) or 1.0
-        for k in range(3):
-            a, b = p1[k], p1[(k + 1) % 3]
-            edge = b - a
-            nxt = []
-            for i in range(len(poly)):
-                p, q = poly[i], poly[(i + 1) % len(poly)]
-                sp = sign * (edge[0] * (p - a)[1] - edge[1] * (p - a)[0])
-                sq = sign * (edge[0] * (q - a)[1] - edge[1] * (q - a)[0])
-                if sp >= -tol:
-                    nxt.append(p)
-                if (sp > tol and sq < -tol) or (sp < -tol and sq > tol):
-                    lam = sp / (sp - sq)
-                    nxt.append(p + lam * (q - p))
-            poly = nxt
-            if not poly:
-                return False
-        area = 0.0
-        for i in range(1, len(poly) - 1):
-            area += 0.5 * abs((poly[i] - poly[0])[0] * (poly[i + 1] - poly[0])[1]
-                              - (poly[i] - poly[0])[1] * (poly[i + 1] - poly[0])[0])
-        return area > tol * tol
-
-    line = np.cross(n1, n2)
-    ln = np.linalg.norm(line)
-    if ln == 0.0:
-        return False
-    line = line / ln
-
-    def interval(tri, dist):
-        pts = tri @ line
-        params = []
-        for i in range(3):
-            if abs(dist[i]) <= tol:
-                params.append(pts[i])
-        for i in range(3):
-            j = (i + 1) % 3
-            if dist[i] * dist[j] < -tol * tol:
-                lam = dist[i] / (dist[i] - dist[j])
-                params.append(pts[i] + lam * (pts[j] - pts[i]))
-        if not params:
-            return None
-        return min(params), max(params)
-
-    i1 = interval(t1, d1)
-    i2 = interval(t2, d2)
-    if i1 is None or i2 is None:
-        return False
-    overlap = min(i1[1], i2[1]) - max(i1[0], i2[0])
-    return overlap > tol
+# the 16 facet pairs, as FACETS indices i < j, that share at most a vertex
+_FACET_PAIRS = np.array([(i, j) for i, j in zip(*np.triu_indices(len(FACETS), 1))
+                         if len(set(FACETS[i]) & set(FACETS[j])) < 2])
+_NEXT = [1, 2, 0]  # the other end of each side of a triangle
 
 
 def facet_crossings(r: Realization, tol: float | None = None) -> list[tuple[str, str]]:
@@ -296,21 +226,49 @@ def facet_crossings(r: Realization, tol: float | None = None) -> list[tuple[str,
 
     Facet pairs sharing an edge are excluded; pairs sharing only a vertex
     count as crossing when the intersection extends beyond the shared
-    point.  Crossing facets are the signature of the concave, mutually
-    piercing realizations traced out by flexible octahedra.
+    point.  A pair not in one plane crosses when the stretches the two
+    triangles cut from the line where their planes meet overlap by more
+    than tol.  A coplanar pair (every vertex within tol of the other's
+    plane) crosses when the projections of the two triangles on each of
+    their six in-plane side normals overlap by more than tol, so coplanar
+    facets that touch only along a side or at a vertex do not cross.
+    Crossing facets are the signature of the concave, mutually piercing
+    realizations traced out by flexible octahedra.
     """
     if tol is None:
         tol = 1e-9 * r.diameter()
-    tris = r.points[FACET_VERTS]
-    out = []
-    for i in range(len(FACET_NAMES)):
-        for j in range(i + 1, len(FACET_NAMES)):
-            f1, f2 = FACET_NAMES[i], FACET_NAMES[j]
-            if len(set(f1) & set(f2)) >= 2:
-                continue
-            if _tri_tri_cross(tris[i], tris[j], tol):
-                out.append((f1, f2))
-    return out
+    tris = r.points[FACET_VERTS][_FACET_PAIRS]  # (16, 2, 3, 3)
+    normals, areas = (a[_FACET_PAIRS] for a in facet_normals(r.points))
+    # zero-area facets and parallel planes give nan or inf entries; the
+    # masks below never let them decide a pair
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # the heights of each triangle's vertices above the other's plane
+        dist = dot_rows(tris - tris[:, ::-1, :1], normals[:, ::-1, None])
+        apart = ((dist > tol).all(-1) | (dist < -tol).all(-1)).any(-1)
+        coplanar = (np.abs(dist) <= tol).all((-2, -1))
+
+        # each triangle's stretch of the meet line: its vertices on the other
+        # plane and the points where its sides cross that plane
+        line = np.cross(normals[:, 0], normals[:, 1])
+        line = line / row_norms(line)[:, None]
+        at = dot_rows(tris, line[:, None, None])
+        ahead = dist[..., _NEXT]
+        cut = at + dist / (dist - ahead) * (at[..., _NEXT] - at)
+        params = np.concatenate([at, cut], axis=-1)
+        on = np.concatenate([np.abs(dist) <= tol, dist * ahead < -tol * tol], axis=-1)
+        lo = np.where(on, params, np.inf).min(-1)
+        hi = np.where(on, params, -np.inf).max(-1)
+        meet = hi.min(-1) - lo.max(-1) > tol
+
+        # coplanar pairs: the triangles' projections on each side normal
+        sides = tris[..., _NEXT, :] - tris
+        axes = np.cross(sides, normals[:, :, None]).reshape(-1, 6, 3)
+        axes = axes / row_norms(axes)[..., None]
+        proj = tris @ axes.swapaxes(-1, -2)[:, None]  # (16, 2, 3 vertices, 6 axes)
+        overlap = proj.max(-2).min(-2) - proj.min(-2).max(-2)
+        share = overlap.min(-1) > tol
+    cross = (areas > 0.0).all(-1) & ~apart & np.where(coplanar, share, meet)
+    return [(FACET_NAMES[i], FACET_NAMES[j]) for i, j in _FACET_PAIRS[cross]]
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +285,8 @@ class _System:
     """
 
     def __init__(self, r0: Realization, pin: tuple[str, str, str]):
+        if len(set(pin) & set(VERTICES)) != 3:
+            raise ValueError(f"pin {tuple(pin)}: expected three distinct vertex labels")
         self.x0 = r0.flat_vector()
         self.diam = r0.diameter()
         self.targets2 = edge_length_array(r0.points) ** 2

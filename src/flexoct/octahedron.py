@@ -86,6 +86,23 @@ EDGE_INCIDENCE = np.zeros((12, 6))
 EDGE_INCIDENCE[np.arange(12), EDGE_HEAD] = 1.0
 EDGE_INCIDENCE[np.arange(12), EDGE_TAIL] = -1.0
 _PAIR_I, _PAIR_J = np.triu_indices(6, 1)
+# the three sides of each facet, as indices into EDGE_ORDER
+FACET_EDGES = np.array([[EDGE_ORDER.index(canonical_edge(f[i - 1], f[i])) for i in range(3)]
+                        for f in FACETS])
+# Vertex involutions, as the images of A..F, whose edge-length patterns
+# classify_edge_lengths tests: the half-turn, which swaps every opposite pair,
+# then for each fixed opposite pair its mirror, which swaps the other two
+# pairs within themselves, and its two crossed pairings, which swap them
+# across each other.  _EDGE_IMAGES holds each as a permutation of EDGE_ORDER.
+VERTEX_INVOLUTIONS = ("DEFABC",
+                      "AEFDBC", "ACBDFE", "AFEDCB",
+                      "DBFAEC", "CBAFED", "FBDCEA",
+                      "DECABF", "BACEDF", "EDCBAF")
+_EDGE_IMAGES = np.array([[EDGE_ORDER.index(canonical_edge(img[_VIDX[e[0]]], img[_VIDX[e[1]]]))
+                          for e in EDGE_ORDER] for img in VERTEX_INVOLUTIONS])
+
+# coplanarity measure at or below which six points count as flat
+FLAT_TOL = 1e-6
 
 
 class DegenerateFacet(ValueError):
@@ -319,12 +336,9 @@ def vertex_half_tangents(r: Realization, v: str, pair: tuple[str, str]) -> tuple
 
 def validate(el: dict[str, float]) -> list[str]:
     """Names of facets whose three edges violate the triangle inequality."""
-    bad = []
-    for name in FACET_NAMES:
-        sides = sorted(el[canonical_edge(name[i], name[(i + 1) % 3])] for i in range(3))
-        if sides[0] <= 0.0 or sides[0] + sides[1] <= sides[2]:
-            bad.append(name)
-    return bad
+    sides = np.sort(np.array([el[e] for e in EDGE_ORDER])[FACET_EDGES], axis=1)
+    bad = (sides[:, 0] <= 0.0) | (sides[:, 0] + sides[:, 1] <= sides[:, 2])
+    return [FACET_NAMES[k] for k in np.flatnonzero(bad)]
 
 
 def coplanarity_measure(r: Realization) -> float:
@@ -395,60 +409,46 @@ class FlexTypeReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _type2_deviation(el: dict[str, float], mapping: dict[str, str]) -> float:
-    dev = 0.0
-    for e in EDGE_ORDER:
-        img = canonical_edge(mapping[e[0]], mapping[e[1]])
-        dev = max(dev, abs(el[e] - el[img]))
-    return dev
-
-
 def classify_edge_lengths(el: dict[str, float], flat: Realization | None = None,
                           tol: float = 1e-9) -> FlexTypeReport:
-    """Test the edge lengths against the three necessary condition patterns.
+    """Test the edge lengths against the patterns of VERTEX_INVOLUTIONS.
 
-    Type one: the six opposite edge pairs equal.  Type two: for some
-    opposite vertex pair held fixed, the remaining vertices swap as in a
-    mirror through the fixed pair (the two opposite pairs exchanged within
-    themselves).  Type three needs a flat realization; its residual is the
-    flat closure product minus 1.  All conditions are necessary only.
+    Type one: the lengths are invariant under the half-turn, so the six
+    opposite edge pairs are equal.  Type two: for some opposite vertex pair
+    held fixed, they are invariant under its mirror; a match of a crossed
+    pairing is noted.  A pattern matches when no edge differs from its image
+    by more than tol times the mean length.  Type three needs a flat
+    realization; its residual is the flat closure product minus 1.  All
+    conditions are necessary only.
     """
-    mean = sum(el.values()) / len(el)
-    thr = tol * mean
+    thr = tol * (sum(el.values()) / len(el))
+    lengths = np.array([el[e] for e in EDGE_ORDER])
+    dev = np.max(np.abs(lengths - lengths[_EDGE_IMAGES]), axis=1).tolist()
     notes = []
-
-    dev1 = max(abs(el[e1] - el[e2]) for e1, e2 in OPPOSITE_EDGES)
-    matches1 = dev1 <= thr
-    if matches1:
+    if dev[0] <= thr:
         notes.append("type 1 conditions are necessary only: assembly chirality "
                      "decides flexibility")
 
     matches2: list[tuple[str, str]] = []
-    for fixed in (("A", "D"), ("B", "E"), ("C", "F")):
-        rest = [v for v in VERTICES if v not in fixed]
-        p1 = (rest[0], OPPOSITE_VERTEX[rest[0]])
-        p2 = tuple(v for v in rest if v not in p1)
-        mapping = {fixed[0]: fixed[0], fixed[1]: fixed[1],
-                   p1[0]: p1[1], p1[1]: p1[0], p2[0]: p2[1], p2[1]: p2[0]}
-        if _type2_deviation(el, mapping) <= thr:
+    for img, d in zip(VERTEX_INVOLUTIONS[1:], dev[1:]):
+        if not d <= thr:
+            continue
+        moved = [v for v, w in zip(VERTICES, img) if v != w]
+        fixed = tuple(v for v in VERTICES if v not in moved)
+        partner = img[_VIDX[moved[0]]]
+        if partner == OPPOSITE_VERTEX[moved[0]]:  # the mirror
             matches2.append(fixed)
-        # crossed pairings: the four moving vertices swap across opposite pairs
-        for alt in ((p1[0], p2[0]), (p1[0], p2[1])):
-            m = {fixed[0]: fixed[0], fixed[1]: fixed[1]}
-            m[alt[0]], m[alt[1]] = alt[1], alt[0]
-            o1, o2 = OPPOSITE_VERTEX[alt[0]], OPPOSITE_VERTEX[alt[1]]
-            m[o1], m[o2] = o2, o1
-            if _type2_deviation(el, m) <= thr:
-                notes.append(f"crossed mirror pairing through {fixed[0]}{fixed[1]} "
-                             f"also matches ({alt[0]}<->{alt[1]})")
+        else:
+            notes.append(f"crossed mirror pairing through {fixed[0]}{fixed[1]} "
+                         f"also matches ({moved[0]}<->{partner})")
 
     residual3 = None
     if flat is not None:
-        if coplanarity_measure(flat) > 1e-6:
+        if coplanarity_measure(flat) > FLAT_TOL:
             raise ValueError("supplied realization is not flat")
         residual3 = abs(flat_angle_product(flat) - 1.0)
 
-    return FlexTypeReport(matches1, dev1, matches2, residual3, notes)
+    return FlexTypeReport(dev[0] <= thr, dev[0], matches2, residual3, notes)
 
 
 def reflection_pairing_residual(r: Realization, mapping: dict[str, str]) -> float:

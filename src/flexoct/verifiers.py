@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linkage import FaceAngles, OppositeDihedralLine, opposite_dihedral_line
+from .linkage import OppositeDihedralLine, opposite_dihedral_line
 from .octahedron import (EDGE_FACETS, EDGE_ORDER, FACET_NAMES, FACET_VERTS,
                          OPPOSITE_EDGES, VERTEX_CYCLES, VERTICES, DegenerateFacet,
                          NonAdjacentEdges, Realization, canonical_edge, diameter_array,
-                         dot_rows, edge_length_array, face_angle, facet_normals)
+                         dot_rows, edge_length_array, face_angle, facet_normals,
+                         vertex_face_angles)
 from .flexion import FlexionPath
 
 HEXAGONS = ("ABCDEF", "ABFDEC", "AECDBF", "AEFDBC")
@@ -203,12 +204,9 @@ def dihedral_cos_line_fit(path: FlexionPath, vertex: str,
     if p not in cyc or s not in cyc or (cyc.index(p) - cyc.index(s)) % 4 != 2:
         raise NonAdjacentEdges(f"edges {vertex}{p} and {vertex}{s} are not opposite "
                                f"at {vertex}")
-    i = cyc.index(p)
-    q, w = cyc[(i + 1) % 4], cyc[(i + 3) % 4]  # cycle p, q, s, w
-    # alpha, beta, gamma, delta span (w, p), (p, q), (q, s), (s, w)
-    ends = np.array([VERTICES.index(u) for u in (w, p, q, s, w)])
-    angles = FaceAngles(*map(float, face_angle(path.points[0], VERTICES.index(vertex),
-                                               ends[:4], ends[1:])))
+    # tracking (p, w), w the neighbour before p, puts p's dihedral first
+    angles = vertex_face_angles(Realization(path.points[0]), vertex,
+                                (p, cyc[cyc.index(p) - 1]))
     e1 = canonical_edge(vertex, pair[0])
     e2 = canonical_edge(vertex, pair[1])
     c1 = np.cos(path.dihedral_series(e1))

@@ -430,6 +430,7 @@ class TestDriveValidation:
         ({"corrector_tol": 10}, "drive.corrector_tol"),
         ({"rank_tol": 1}, "drive.rank_tol"),
         ({"flat_event_tol": 1.5}, "drive.flat_event_tol"),
+        ({"pin": ["A", "A", "B"]}, "drive.pin"),
     ] + [pytest.param({f.name: 5 if f.type == "str" else "x"}, f"drive.{f.name}",
                       id=f"ill_typed-{f.name}")
          for f in dataclasses.fields(DriveSpec)])
@@ -491,6 +492,29 @@ class TestDriveValidation:
     def test_negative_steps_override(self, tmp_path):
         self.assert_unknown_arguments(tmp_path, "--steps", "-5")
 
+    def test_unknown_command(self, tmp_path):
+        """A command argparse would refuse is an input error with exit status
+        1, not 2 (not flexible or stalled), and a summary in --out."""
+        spec = write_spec(tmp_path, {"command": "fourbar", "sides": [1, 1, 1, 1]})
+        code = cli.main(["explode", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert code == 1
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["status"] == "error"
+        assert summary["error"]["type"] == "ValidationError"
+        assert summary["error"]["message"].startswith("command:")
+        assert "explode" in summary["error"]["message"]
+
+    @pytest.mark.parametrize("args", [[], ["--spec"]], ids=["no-spec", "spec-without-path"])
+    def test_missing_spec(self, tmp_path, monkeypatch, args):
+        """Without a spec path the summary goes to flexoct_out."""
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["fourbar", *args]) == 1
+        summary = json.loads((tmp_path / "flexoct_out" / "summary.json").read_text())
+        assert summary["command"] == "fourbar"
+        assert summary["error"]["type"] == "ValidationError"
+        assert summary["error"]["message"].startswith("arguments:")
+        assert "--spec" in summary["error"]["message"]
+
     @pytest.mark.parametrize("raw, field", [
         ({"command": "classify", "positions": regular_octahedron().as_dict(),
           "tolerances": {"corrector": 1e-12}}, "tolerances.corrector"),
@@ -511,7 +535,7 @@ class TestDriveValidation:
          "source"),
         ({"command": "flex", "source": {"command": "build-type1", "points": EXAMPLE_T1,
                                         "tolerances": {"corrector": 0.9}}},
-         "tolerances.corrector"),
+         "source.tolerances.corrector"),
     ], ids=["tolerances.corrector", "flex-tolerances", "verify-tolerances",
             "fourbar-tolerances", "drive.refine_flat_events", "drive.track_facet_crossings",
             "source.out", "source.tolerances", "source.tolerances.corrector"])
@@ -543,6 +567,9 @@ class TestDriveValidation:
          "positions.D"),
         ({"command": "build-type1",
           "points": {**EXAMPLE_T1, "A": [1, 0.2, math.inf]}}, "points.A"),
+        ({"command": "flex", "source": {"command": "build-type1",
+                                        "points": {**EXAMPLE_T1, "F": [0, math.nan, 0]}}},
+         "source.points.F"),
     ])
     def test_non_finite_numbers(self, tmp_path, raw, field):
         spec = write_spec(tmp_path, raw)

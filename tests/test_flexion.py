@@ -207,6 +207,11 @@ class TestFlexPath:
                 v2 = np.interp(x, x2[o2], y2[o2])
                 assert v1 == pytest.approx(v2, abs=1e-5)
 
+    def test_repeated_pin_label_refused(self):
+        """A pin naming a vertex twice is a named error before any step."""
+        with pytest.raises(ValueError, match="three distinct vertex labels"):
+            flex_path(build_type1(*EXAMPLE_T1), drive=DriveSpec(pin=("A", "A", "B")))
+
     def test_columns_match_per_frame_kernels(self):
         """The batched columns equal the geometry kernel run frame by frame."""
         r = build_type1(*EXAMPLE_T1)
@@ -366,6 +371,35 @@ class TestFacetCrossings:
         crossings = [facet_crossings(Realization(p)) for p in path.points]
         assert crossings[0] == facet_crossings(r)
         assert all(len(set(f1) & set(f2)) <= 1 for pairs in crossings for f1, f2 in pairs)
+
+    # The expected sets of the coplanar cases below are the pairs whose
+    # triangles overlap with positive area, found by exact rational clipping.
+
+    def test_flat_type3_frame(self):
+        """DEF and BCD, BCD and ABF, CAE and ABF, and AEF and CDE meet at one
+        point only; BCD and AEF, and ABF and CDE, are apart."""
+        _, r = build_type3_flat(*EXAMPLE_T3)
+        assert facet_crossings(r) == [
+            ("ABC", "DEF"), ("ABC", "AEF"), ("ABC", "BFD"), ("ABC", "CDE"), ("DEF", "CAE"),
+            ("DEF", "ABF"), ("BCD", "CAE"), ("CAE", "BFD"), ("AEF", "BFD"), ("BFD", "CDE")]
+
+    def test_coplanar_touching_facets(self):
+        """With E on side AB, ABC and AEF, and CAE and ABF, meet along the
+        segment AE only, and seven more pairs at one point only.  None of them
+        crosses, in the plane z = 0 or turned, scaled and moved anywhere."""
+        p = np.array([[0, 0, 0], [2, 0, 0], [0, 2, 0], [3, 3, 0], [1, 0, 0], [0, -2, 0]], float)
+        want = [("ABC", "DEF"), ("ABC", "BFD"), ("ABC", "CDE"), ("DEF", "BCD"), ("DEF", "ABF")]
+        assert facet_crossings(Realization(p)) == want
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            rot = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            moved = rng.uniform(0.1, 10.0) * p @ rot.T + rng.normal(size=3)
+            assert facet_crossings(Realization(moved)) == want
+
+    def test_overlapping_coplanar_facets(self):
+        """DEF is ABC moved by (1, 1): every one of the 16 pairs overlaps."""
+        p = np.array([[0, 0, 0], [4, 0, 0], [0, 4, 0], [1, 1, 0], [5, 1, 0], [1, 5, 0]], float)
+        assert len(facet_crossings(Realization(p))) == 16
 
 
 class TestCorrector:

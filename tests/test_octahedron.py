@@ -266,9 +266,15 @@ class TestVertexFaceAngles:
 
 class TestClassifyEdgeLengths:
     def test_regular_matches_type1(self):
+        """All edges equal: every pattern matches, each crossed pairing as a note."""
         rep = classify_edge_lengths(edge_lengths(regular_octahedron()))
         assert rep.matches_type1
         assert any("necessary only" in n for n in rep.notes)
+        assert rep.matches_type2 == [("A", "D"), ("B", "E"), ("C", "F")]
+        assert [n.split("through ")[1] for n in rep.notes[1:]] == [
+            "AD also matches (B<->C)", "AD also matches (B<->F)",
+            "BE also matches (A<->C)", "BE also matches (A<->F)",
+            "CF also matches (A<->B)", "CF also matches (A<->E)"]
 
     def test_type2_reports_cf(self, rng):
         from conftest import sample_type2_inputs
@@ -296,8 +302,7 @@ class TestValidate:
     def test_long_ab(self):
         el = {e: 1.0 for e in EDGE_ORDER}
         el["AB"] = 10.0
-        bad = validate(el)
-        assert "ABC" in bad
+        assert validate(el) == ["ABC", "ABF"]
 
     def test_type3_lengths_valid(self):
         _, r = builders.build_type3_flat((0, 0), (4, 0), (1, 2.5), (5 / 3, 2.5 / 3))
