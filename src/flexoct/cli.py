@@ -480,6 +480,16 @@ def _json_default(obj):
     raise TypeError(f"unserializable {type(obj)}")
 
 
+def _out_error(out: Path) -> ValidationError | None:
+    """The error for an output path that names an existing file or lies
+    under one, where no summary can be written; None for any other path."""
+    existing = next((p for p in (out, *out.parents) if p.exists()), out)
+    if existing.exists() and not existing.is_dir():
+        return ValidationError("out", f"{str(existing)!r} is a file, not a directory; "
+                                      "no summary can be written there")
+    return None
+
+
 def _write_summary(out_dir: Path, summary: dict) -> None:
     summary = {"schema": SCHEMA_VERSION, **summary}
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -571,6 +581,9 @@ def _write_verify_csv(out_dir: Path, report: dict) -> None:
 def run(job: JobSpec, out_dir=None) -> int:
     """Execute one job; returns the process exit status."""
     out = Path(out_dir or job.out or "flexoct_out")
+    if (err := _out_error(out)) is not None:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     length_tol = job.tolerances.get("length_equality", 1e-9)
     summary: dict = {"command": job.command, "status": "ok"}
     if job.warnings:
@@ -670,6 +683,8 @@ def main(argv=None) -> int:
 
     try:
         _, unknown = parser.parse_known_args(argv, args)
+        if args.out is not None and (err := _out_error(Path(args.out))) is not None:
+            raise err
         if args.command not in COMMANDS:
             raise ValidationError("command", f"expected one of {list(COMMANDS)}, "
                                              f"got {args.command!r}")
@@ -685,9 +700,11 @@ def main(argv=None) -> int:
                                                  f"expected {args.command!r}")
     except (ParseError, ValidationError, IoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _write_summary(Path(args.out or "flexoct_out"), {
-            "command": args.command, "status": "error",
-            "error": {"type": type(exc).__name__, "message": str(exc)}})
+        out = Path(args.out or "flexoct_out")
+        if _out_error(out) is None:
+            _write_summary(out, {
+                "command": args.command, "status": "error",
+                "error": {"type": type(exc).__name__, "message": str(exc)}})
         return 1
 
     if isinstance(spec, list):

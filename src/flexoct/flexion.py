@@ -2,33 +2,28 @@
 
 The rigidity matrix stacks the gradients of the twelve squared edge-length
 constraints; its co-rank beyond the six rigid-body motions counts the
-independent infinitesimal flexes.  Finite flexion is traced by arc-length
-predictor-corrector continuation: the predictor steps along the unit null
-vector of the pinned constraint Jacobian, the corrector solves the edge
-constraints plus six frame-pinning constraints (one vertex fixed, a second
-on a fixed line through it, a third in a fixed plane).  The corrector is a
-chord iteration with the pseudo-inverse taken from the null-space SVD of
-the last accepted point, restarted as damped Gauss-Newton when it stops
-converging.
+independent infinitesimal flexes.
 
-Flat (coplanar) configurations are first-order degenerate: every
-out-of-plane displacement is an infinitesimal flex.  A flat start's tangent
-is the common zero of the three self-stress quadratic forms (a genuine flex
-annihilates them), found in closed form from their conic pencils; the
-corrected second-order probe that picks among them is the path's first step.
-Flat crossings met along a path are recorded as events, not failures.  The
-heights of the non-pinned vertices above the pin plane are odd about a
-crossing, so a step whose end heights point against its start heights
-brackets one.  The secant zero of the
-heights along that step's chord starts a Gauss-Newton solve of the edge
-constraints with the heights held at zero, where they are not degenerate;
-the flat configuration it converges to is inserted as the event frame.
+Finite flexion is traced by arc-length predictor-corrector continuation in
+the three hinge angles of a pinned facet: each other vertex turns about the
+facet side it is hinged on, and the three edges between them are the
+memoir's tetrahedral-angle relations at the facet's vertices.  The predictor
+follows the null vector of their 3 x 3 Jacobian, whose singular values also
+decide a loss of rank or a branch ambiguity; the corrector is Gauss-Newton
+on the three residuals plus the arc row, a 3 x 3 solve in plain floats.
+
+At a flat (coplanar) configuration the hinge-angle Jacobian vanishes.  A
+flat start's tangent is the common zero of the three self-stress quadratic
+forms of the 18-coordinate system, found in closed form from their conic
+pencils; the corrected second-order probe that picks among them is the
+path's first step.  Flat crossings are recorded as events, not failures: a
+hinged vertex's height above the facet is rho sin(psi + alpha), so a step
+whose end heights point against its start heights brackets a crossing, at
+psi = k pi - alpha for every angle.
 
 A traced path is a FlexionPath of columns, one row per frame: the points,
-arc lengths, twelve dihedrals, edge deviations and coplanarity measures.  A
-continuation step records only the point, its arc length and its
-coplanarity measure (the flat test); the dihedrals and edge deviations of
-all frames come from one batched pass over the stacked points when the path
+arc lengths, twelve dihedrals, edge deviations and coplanarity measures,
+all built from the steps' hinge angles in one batched pass when the path
 returns or raises.  ``FlexionPath.frames`` is a read-only per-row view.
 """
 
@@ -41,17 +36,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .octahedron import (EDGE_INCIDENCE, EDGE_ORDER, FACET_NAMES, FACET_VERTS, FACETS,
-                         FLAT_TOL, VERTICES, Realization, canonical_edge, check_facets,
-                         coplanarity_measure, dihedral_angle, dihedral_array,
-                         dot_rows, edge_length_array, edge_vectors, facet_normals,
-                         row_norms)
+                         FLAT_TOL, OPPOSITE_VERTEX, VERTICES, Realization, canonical_edge,
+                         check_facets, coplanarity_array, coplanarity_measure,
+                         dihedral_angle, dihedral_array, dot_rows, edge_length_array,
+                         edge_vectors, facet_normals, row_norms)
 # no longer called here; kept bound because the benchmark's span tracer test
 # checks that it patches this module's binding of all_dihedrals too
 from .octahedron import all_dihedrals  # noqa: F401
 
 
-_LINE_STEPS = 0.5 ** np.arange(13)  # the Gauss-Newton line search's step factors
-# singular values below RANK_TOL times the largest count as zero
+# singular values below RANK_TOL count as zero: times the largest for the
+# rigidity matrix, absolutely for the hinge-angle Jacobian, whose entries
+# are cosines
 RANK_TOL = 1e-7
 
 
@@ -69,7 +65,7 @@ class ContinuationStall(RuntimeError):
 
 class BranchAmbiguity(RuntimeError):
     """Tangent space dimension exceeded one away from a flat configuration,
-    or differed from three at a flat start."""
+    or fell short of three at a flat start."""
 
     def __init__(self, message: str, partial: "FlexionPath"):
         super().__init__(message)
@@ -275,166 +271,32 @@ def facet_crossings(r: Realization, tol: float | None = None) -> list[tuple[str,
 # continuation
 
 
+def _pin_frames(p: np.ndarray, pin) -> np.ndarray:
+    """Orthonormal frames (..., 3, 3) of points (..., 6, 3): rows e1 along
+    pin[0] -> pin[1], e2 = n x e1 and n normal to the three pin vertices."""
+    i0, i1, i2 = pin
+    e1 = p[..., i1, :] - p[..., i0, :]
+    e1 = e1 / row_norms(e1)[..., None]
+    n = np.cross(e1, p[..., i2, :] - p[..., i0, :])
+    n = n / row_norms(n)[..., None]
+    return np.stack([e1, np.cross(n, e1), n], axis=-2)
+
+
 class _System:
-    """Edge + pin constraint system in the 18 coordinates, holding r0's own
-    edge lengths.
+    """Edge + pin constraint system in the 18 coordinates, for a flat start,
+    where the hinge angles are degenerate; each squared-length row is
+    normalized by its own target."""
 
-    Each squared-length residual is normalized by its own target, so the
-    corrector tolerance bounds the relative length error of every edge
-    uniformly, short edges included.
-    """
-
-    def __init__(self, r0: Realization, pin: tuple[str, str, str]):
-        if len(set(pin) & set(VERTICES)) != 3:
-            raise ValueError(f"pin {tuple(pin)}: expected three distinct vertex labels")
-        self.x0 = r0.flat_vector()
-        self.diam = r0.diameter()
+    def __init__(self, r0: Realization, pin: tuple[int, int, int]):
         self.targets2 = edge_length_array(r0.points) ** 2
-        self.target_len = np.sqrt(self.targets2)
-        i0, i1, i2 = (VERTICES.index(v) for v in pin)
-        p = r0.points
-        e1 = p[i1] - p[i0]
-        e1 = e1 / np.linalg.norm(e1)
-        n = np.cross(e1, p[i2] - p[i0])
-        nn = np.linalg.norm(n)
-        if nn == 0.0:
-            raise ValueError("pin vertices are collinear")
-        n = n / nn
-        e2 = np.cross(n, e1)
+        i0, i1, i2 = pin
+        _, e2, n = _pin_frames(r0.points, pin)
         rows = np.zeros((6, 6, 3))
         rows[:3, i0] = np.eye(3)
         rows[3, i1], rows[4, i1], rows[5, i2] = e2, n, n
         rows[3:, i0] = -np.array([e2, n, n])
-        self.pin_rows = rows.reshape(6, 18) / self.diam
-        # heights of the three other vertices above the pin plane, as rows on x
-        rows = np.zeros((3, 6, 3))
-        rows[np.arange(3), [i for i in range(6) if i not in (i0, i1, i2)]] = n
-        rows[:, i0] = -n
-        self.height_rows = rows.reshape(3, 18)
-        # corrector effort: calls finished by the chord and by Gauss-Newton,
-        # residual evaluations (a line-search stack counts once), and the
-        # flat solves run where the heights above the pin plane change sign
-        self.counts = {"chord_steps": 0, "gauss_newton_steps": 0, "residual_evals": 0,
-                       "flat_probes": 0}
-
-    def edge_residual(self, x: np.ndarray) -> np.ndarray:
-        """Relative squared-length errors, (..., 12), for coordinates (..., 18)."""
-        d = edge_vectors(x.reshape(x.shape[:-1] + (6, 3)))
-        return ((d * d).sum(axis=-1) - self.targets2) / self.targets2
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        rows = rigidity_matrix(Realization.from_flat(x)) / self.targets2[:, None]
-        return np.vstack([rows, self.pin_rows])
-
-    def heights(self, x: np.ndarray) -> np.ndarray:
-        """Signed heights, (..., 3), of the three non-pinned vertices above the
-        pin plane, for coordinates (..., 18)."""
-        return x @ self.height_rows.T
-
-    def _newton_trials(self, x: np.ndarray, fv: np.ndarray, extra_rows: np.ndarray,
-                       residual) -> tuple[np.ndarray, np.ndarray]:
-        """The Gauss-Newton step from x on the constraints plus extra_rows,
-        scaled by 1, 1/2, ..., 1/4096, and its residuals, as one stack."""
-        jac = np.vstack([self.jacobian(x), extra_rows])
-        dx = np.linalg.lstsq(jac, -fv, rcond=None)[0]
-        trial = x + _LINE_STEPS[:, None] * dx
-        return trial, residual(trial)
-
-    def correct(self, x_pred: np.ndarray, x_ref: np.ndarray, tau: np.ndarray,
-                h: float, tol: float, max_newton: int,
-                chord: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
-        """Chord iteration, else damped Gauss-Newton, on the constraints plus
-        the arclength row.  After the first iterate that meets tol, either
-        takes one more full step and keeps it if it lowers |f|.
-
-        With ``chord``, a fixed 18 x 19 inverse of the corrector matrix, the
-        iteration x <- x - chord @ f(x) runs while every iteration at least
-        halves |f|.  On the first iteration that does not halve |f|, damped
-        Gauss-Newton restarts from x_pred, so a step the chord fails ends
-        exactly as a step without it.
-
-        The Gauss-Newton line search takes the first of the steps 1, 1/2, ...,
-        1/2048 that lowers the residual norm, else the step 1/4096.  All
-        thirteen candidates are evaluated as one stack, and the residual of
-        the one taken is carried into the next iteration.
-        """
-        arc_row = tau[None, :] / self.diam
-
-        def residual(x):
-            self.counts["residual_evals"] += 1
-            pins = (self.pin_rows @ (x - self.x0)[..., None])[..., 0]
-            arc = dot_rows(x - x_ref, tau)[..., None] / self.diam - h
-            return np.concatenate([self.edge_residual(x), pins, arc], axis=-1)
-
-        if chord is not None:
-            x, fv = x_pred, residual(x_pred)
-            sq, met = fv @ fv, False
-            for _ in range(max_newton):
-                x_new = x - chord @ fv
-                f_new = residual(x_new)
-                sq_new = f_new @ f_new
-                if met or not sq_new <= 0.25 * sq:  # |f| at least halves
-                    break
-                x, fv, sq = x_new, f_new, sq_new
-                met = np.max(np.abs(fv[:-1])) < tol
-            if met:
-                self.counts["chord_steps"] += 1
-                return (x_new if sq_new < sq else x), True
-
-        self.counts["gauss_newton_steps"] += 1
-        x = x_pred.copy()
-        fv = residual(x)
-        for it in range(max_newton):
-            met = it > 0 and np.max(np.abs(fv[:-1])) < tol
-            trial, ftrial = self._newton_trials(x, fv, arc_row, residual)
-            if met:
-                return (trial[0] if ftrial[0] @ ftrial[0] < fv @ fv else x), True
-            lower = row_norms(ftrial[:-1]) < np.linalg.norm(fv)
-            k = int(np.argmax(lower)) if lower.any() else len(trial) - 1
-            x, fv = trial[k], ftrial[k]
-        return x, bool(np.max(np.abs(fv[:-1])) < tol)
-
-    def flatten(self, x: np.ndarray, tol: float, max_newton: int) -> tuple[np.ndarray, bool]:
-        """The flat realization nearest x with the target edge lengths.
-
-        Damped Gauss-Newton, with the line search of ``correct``, solves the
-        edge and pin constraints plus zero heights above the pin plane for
-        as long as some step lowers |f|.  With the heights held at zero the
-        edge constraints are not degenerate as they are near a flat point in
-        space, so the solve converges to rounding.
-        """
-        self.counts["flat_probes"] += 1
-        extra = self.height_rows / self.diam
-
-        def residual(x):
-            self.counts["residual_evals"] += 1
-            pins = (self.pin_rows @ (x - self.x0)[..., None])[..., 0]
-            return np.concatenate([self.edge_residual(x), pins, self.heights(x) / self.diam],
-                                  axis=-1)
-
-        fv = residual(x)
-        for _ in range(max_newton):
-            trial, ftrial = self._newton_trials(x, fv, extra, residual)
-            lower = row_norms(ftrial) < np.linalg.norm(fv)
-            if not lower.any():
-                break
-            k = int(np.argmax(lower))
-            x, fv = trial[k], ftrial[k]
-        return x, bool(np.max(np.abs(fv[:12])) < tol)
-
-    def null_space(self, x: np.ndarray, rank_tol: float
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Null-space basis (rows) of the pinned Jacobian J at x, the
-        pseudo-inverse V_r S_r^-1 U_r^T of J's range part, and the left null
-        space (rows, the self-stresses), all from one SVD.
-
-        With a one-row basis tau, [range part | tau * diam] is the
-        pseudo-inverse of the corrector matrix [J; tau / diam] at x.  J is
-        square, so there are as many self-stresses as null vectors.
-        """
-        u, sv, vt = np.linalg.svd(self.jacobian(x))
-        null = sv < rank_tol * sv[0] if sv[0] != 0.0 else np.ones(len(sv), bool)
-        return vt[null], (vt[~null].T / sv[~null]) @ u[:, ~null].T, u[:, null].T
+        self.jacobian = np.vstack([rigidity_matrix(r0) / self.targets2[:, None],
+                                   rows.reshape(6, 18) / r0.diameter()])
 
     def stress_quadric(self, lam: np.ndarray, basis: np.ndarray) -> np.ndarray:
         """Quadratic form of one self-stress restricted to a null-space basis."""
@@ -442,12 +304,12 @@ class _System:
         terms = (lam * 2.0)[:, None, None] * (wd @ wd.swapaxes(1, 2))
         return (terms / self.targets2[:, None, None]).sum(axis=0)
 
-    def acceleration(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def acceleration(self, v: np.ndarray) -> np.ndarray:
         """Least-squares curve acceleration for the second-order predictor."""
         rhs = np.zeros(18)
         dv = edge_vectors(v.reshape(6, 3))
         rhs[:12] = -2.0 * dot_rows(dv, dv) / self.targets2
-        return np.linalg.lstsq(self.jacobian(x), rhs, rcond=None)[0]
+        return np.linalg.lstsq(self.jacobian, rhs, rcond=None)[0]
 
 
 def _plane_zeros(q: np.ndarray, plane: np.ndarray) -> list[np.ndarray]:
@@ -494,194 +356,332 @@ def _common_quadric_zero(mats: list[np.ndarray]) -> list[np.ndarray]:
     return sols
 
 
-def _flat_start_step(sys: _System, x0: np.ndarray, null: np.ndarray,
-                     stresses: np.ndarray, drive: DriveSpec, orient
-                     ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The first step out of a flat configuration with a three-dimensional
-    null space and its three self-stresses: the tangent, the corrected point
-    and the step h.  Each candidate tangent is oriented by ``orient`` and
-    predicted to second order; of those that correct at h the one corrected
-    least is taken, h being drive.initial_step, halved down to its floor
-    while no candidate corrects."""
-    mats = [sys.stress_quadric(lam[:12], null) for lam in stresses]
-    dirs = []
-    for u in _common_quadric_zero(mats):
+# The Jacobian of the three hinge residuals is cyclic, residual k reading
+# only the angles k and k + 1: it is held as (a0, b0, a1, b1, a2, b2), the
+# rows (a0, b0, 0), (0, a1, b1) and (b2, 0, a2).
+
+def _row_crosses(jac) -> tuple[tuple[float, float, float], ...]:
+    """The cross products of the rows 0 and 1, 1 and 2, and 2 and 0."""
+    a0, b0, a1, b1, a2, b2 = jac
+    return ((b0 * b1, -a0 * b1, a0 * a1), (a1 * a2, b1 * b2, -a1 * b2),
+            (-a2 * b0, a0 * a2, b0 * b2))
+
+
+def _null_vector(jac) -> tuple[float, float, float]:
+    """Unit null vector of a rank-2 Jacobian: its rows' largest cross product."""
+    v = max(_row_crosses(jac), key=lambda c: c[0] ** 2 + c[1] ** 2 + c[2] ** 2)
+    n = math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
+    return v[0] / n, v[1] / n, v[2] / n
+
+
+def _singular_values(jac) -> tuple[float, float, float]:
+    """Singular values, largest first: the largest eigenvalue of the Gram
+    matrix in closed form (the trigonometric solution of its cubic), the
+    other two from its invariants c1 (the squared 2 x 2 minors) and det^2."""
+    a0, b0, a1, b1, a2, b2 = jac
+    o01, o12, o02 = a0 * b0, a1 * b1, a2 * b2  # the Gram matrix off its diagonal
+    q = (a0 * a0 + b2 * b2 + b0 * b0 + a1 * a1 + b1 * b1 + a2 * a2) / 3.0
+    d0, d1, d2 = a0 * a0 + b2 * b2 - q, b0 * b0 + a1 * a1 - q, b1 * b1 + a2 * a2 - q
+    p = math.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (o01 ** 2 + o12 ** 2 + o02 ** 2)) / 6.0)
+    r = (d0 * (d1 * d2 - o12 * o12) - o01 * (o01 * d2 - o12 * o02)
+         + o02 * (o01 * o12 - d1 * o02)) / (2.0 * p ** 3) if p > 0.0 else 1.0
+    lam1 = q + 2.0 * p * math.cos(math.acos(min(1.0, max(-1.0, r))) / 3.0)
+    if not lam1 > 0.0:
+        return 0.0, 0.0, 0.0
+    c1 = sum(x * x for c in _row_crosses(jac) for x in c)
+    prod = (a0 * a1 * a2 + b0 * b1 * b2) ** 2 / lam1  # lam2 * lam3
+    total = max(c1 - prod, 0.0) / lam1                # lam2 + lam3
+    lam2 = 0.5 * (total + math.sqrt(max(total * total - 4.0 * prod, 0.0)))
+    return math.sqrt(lam1), math.sqrt(lam2), math.sqrt(prod / lam2 if lam2 > 0.0 else 0.0)
+
+
+def _newton_step(jac, f, row, arc):
+    """The Gauss-Newton step from the 3 x 3 normal equations of the residuals
+    f plus the arc row, row . dy = -arc; zero where they are singular."""
+    a0, b0, a1, b1, a2, b2 = jac
+    t0, t1, t2 = row
+    g00, g11, g22 = a0 * a0 + b2 * b2 + t0 * t0, b0 * b0 + a1 * a1 + t1 * t1, \
+        b1 * b1 + a2 * a2 + t2 * t2
+    g01, g12, g02 = a0 * b0 + t0 * t1, a1 * b1 + t1 * t2, a2 * b2 + t0 * t2
+    r0, r1, r2 = (-(a0 * f[0] + b2 * f[2] + t0 * arc), -(b0 * f[0] + a1 * f[1] + t1 * arc),
+                  -(b1 * f[1] + a2 * f[2] + t2 * arc))
+    c00, c01, c02 = g11 * g22 - g12 * g12, g02 * g12 - g01 * g22, g01 * g12 - g02 * g11
+    c11, c12, c22 = g00 * g22 - g02 * g02, g01 * g02 - g00 * g12, g00 * g11 - g01 * g01
+    det = g00 * c00 + g01 * c01 + g02 * c02
+    return ((c00 * r0 + c01 * r1 + c02 * r2) / det, (c01 * r0 + c11 * r1 + c12 * r2) / det,
+            (c02 * r0 + c12 * r1 + c22 * r2) / det) if det else (0.0, 0.0, 0.0)
+
+
+class _Hinges:
+    """The flex in the hinge angles psi of a pinned facet P0 P1 P2.
+
+    X_k, opposite P_k, turns about the side P_{k+1} -> P_{k+2}: X_k(psi) =
+    c_k + rho_k (cos psi u_k + sin psi w_k), from psi = 0.  Residual k, the
+    relative squared-length error of X_k X_{k+1}, is the memoir's relation
+    at P_{k+2} as a trigonometric polynomial, smooth through pi.  Weighted
+    by |X_k X_{k+1}| / (2 diam), in the arc y_k = rho_k psi_k / diam, each
+    Jacobian entry is the cosine of a side and a hinge circle's tangent."""
+
+    def __init__(self, p: np.ndarray, facet: tuple[int, int, int], diam: float):
+        self.p0, self.facet = p, facet
+        self.hinged = x = [VERTICES.index(OPPOSITE_VERTEX[VERTICES[i]]) for i in facet]
+        tail = p[[facet[1], facet[2], facet[0]]]
+        axis = p[[facet[2], facet[0], facet[1]]] - tail
+        axis = axis / row_norms(axis)[:, None]
+        arm = p[x] - tail
+        arm = arm - dot_rows(arm, axis)[:, None] * axis  # from the foot on the axis
+        self.c = c = p[x] - arm
+        self.rho = rho = row_norms(arm)
+        self.u = u = arm / rho[:, None]
+        self.w = w = np.cross(axis, u)
+        self.scale = tuple(map(float, diam / rho))  # d psi / d y
+        # the height of X_k above the facet is rho_k sin(psi_k + alpha_k)
+        n = _pin_frames(p, facet)[2]
+        self.alpha = tuple(map(float, np.arctan2(u @ n, w @ n)))
+        self.coeffs, self.weight = [], []
+        for k, j in ((0, 1), (1, 2), (2, 0)):
+            d = c[k] - c[j]
+            length = float(np.linalg.norm(p[x[k]] - p[x[j]]))
+            self.weight.append(length / (2.0 * diam))
+            s = self.weight[k] / length ** 2
+            sk, sj, sr = 2.0 * s * rho[k], -2.0 * s * rho[j], -2.0 * s * rho[k] * rho[j]
+            self.coeffs.append((j, *map(float, (
+                (d @ d + rho[k] ** 2 + rho[j] ** 2) * s - self.weight[k],
+                sk * (d @ u[k]), sk * (d @ w[k]), sj * (d @ u[j]), sj * (d @ w[j]),
+                sr * (u[k] @ u[j]), sr * (u[k] @ w[j]), sr * (w[k] @ u[j]), sr * (w[k] @ w[j])))))
+        self.counts = {"steps": 0, "newton_iterations": 0, "halvings": 0, "flat_solves": 0}
+
+    def evaluate(self, psi) -> tuple[list, list]:
+        """The weighted residuals and the Jacobian in y at the angles psi."""
+        cs, sn, sc = [math.cos(a) for a in psi], [math.sin(a) for a in psi], self.scale
+        f, jac = [], []
+        for k, (j, k0, kx1, kx2, ky1, ky2, m11, m12, m21, m22) in enumerate(self.coeffs):
+            cx, sx, cy, sy = cs[k], sn[k], cs[j], sn[j]
+            ax, bx = m11 * cy + m12 * sy, m21 * cy + m22 * sy
+            f.append(k0 + kx1 * cx + kx2 * sx + ky1 * cy + ky2 * sy + cx * ax + sx * bx)
+            jac.append((kx2 * cx - kx1 * sx + cx * bx - sx * ax) * sc[k])
+            jac.append((ky2 * cy - ky1 * sy + cx * (m12 * cy - m11 * sy)
+                        + sx * (m22 * cy - m21 * sy)) * sc[j])
+        return f, jac
+
+    def met(self, f, tol: float) -> bool:  # every relative squared-length error
+        return all(abs(v) < tol * w for v, w in zip(f, self.weight))
+
+    def advance(self, psi, tau, h: float) -> tuple[float, float, float]:
+        return tuple(a + h * s * t for a, s, t in zip(psi, self.scale, tau))
+
+    def distance(self, psi, phi) -> float:  # in the arc metric
+        return math.sqrt(sum(((a - b) / s) ** 2 for a, b, s in zip(psi, phi, self.scale)))
+
+    def heights(self, psi) -> list[float]:
+        return [r * math.sin(a + al) for r, a, al in zip(self.rho, psi, self.alpha)]
+
+    def points(self, psi: np.ndarray) -> np.ndarray:
+        """The realizations, (n, 6, 3), at the angles psi, (n, 3)."""
+        out = np.repeat(self.p0[None], len(psi), axis=0)
+        out[:, self.hinged] = self.c + self.rho[:, None] * (
+            np.cos(psi)[..., None] * self.u + np.sin(psi)[..., None] * self.w)
+        return out
+
+    def correct(self, psi, ref, tau, h: float, tol: float, max_newton: int):
+        """Gauss-Newton from the prediction psi while each step lowers the
+        residual norm; from the first point that meets tol, one more step,
+        kept if it lowers the norm.  Returns the angles, the Jacobian there and
+        whether tol was met.  The arc row asks the chord from ref, projected
+        on the unit tangent tau there, to be h: a hinge's chord projects on its
+        tangent as rho sin(psi - ref), so the row is sum tau sin(psi - ref) /
+        scale = h."""
+        sc = self.scale
+        f, jac = self.evaluate(psi)
+        sq, met = f[0] ** 2 + f[1] ** 2 + f[2] ** 2, self.met(f, tol)
+        for _ in range(max_newton):
+            self.counts["newton_iterations"] += 1
+            d = [a - b for a, b in zip(psi, ref)]
+            arc = sum(t * math.sin(x) / s for t, x, s in zip(tau, d, sc)) - h
+            dy = _newton_step(jac, f, [t * math.cos(x) for t, x in zip(tau, d)], arc)
+            trial = (psi[0] + sc[0] * dy[0], psi[1] + sc[1] * dy[1], psi[2] + sc[2] * dy[2])
+            f_new, jac_new = self.evaluate(trial)
+            sq_new = f_new[0] ** 2 + f_new[1] ** 2 + f_new[2] ** 2
+            if met:
+                return (trial, jac_new, True) if sq_new < sq else (psi, jac, True)
+            if not sq_new < sq:
+                break
+            psi, f, jac, sq = trial, f_new, jac_new, sq_new
+            met = self.met(f, tol)
+        return psi, jac, met
+
+
+def _flat_start_step(hinges: _Hinges, r0: Realization, drive: DriveSpec, orient):
+    """The tangent, corrected angles and Jacobian, and step h of a flat start's
+    first step: of the common zeros of the self-stress forms, each oriented,
+    predicted to second order, projected on the hinge circles and corrected,
+    the one corrected least at h, halved from drive.initial_step while none
+    corrects."""
+    sys, x0, diam = _System(r0, hinges.facet), r0.flat_vector(), r0.diameter()
+    # the three flexes and self-stresses: the last singular vectors
+    left, _, right = np.linalg.svd(sys.jacobian)
+    null, dirs = right[-3:], []
+    for u in _common_quadric_zero([sys.stress_quadric(lam[:12], null) for lam in left.T[-3:]]):
         v = null.T @ u
-        v = orient(v / np.linalg.norm(v))
-        dirs.append((v, sys.acceleration(x0, v)))
+        rate = dot_rows(v.reshape(6, 3)[hinges.hinged], hinges.w)  # each hinge's arc
+        tau = tuple(map(float, rate / np.linalg.norm(rate)))
+        sign = orient(tau)
+        dirs.append((tuple(sign * t for t in tau), sign * v, sys.acceleration(v)))
     h = drive.initial_step
     while dirs and h >= drive.initial_step * drive.min_step_factor:
         best = None
-        for v, acc in dirs:
-            step = h * sys.diam
-            x_pred = x0 + step * v + 0.5 * step * step * acc
-            x_new, ok = sys.correct(x_pred, x0, v, h, drive.corrector_tol,
-                                    2 * drive.max_newton)
-            if not ok:
-                continue
-            corr = float(np.linalg.norm(x_new - x_pred))
-            if best is None or corr < best[0]:
-                best = (corr, v, x_new)
+        for tau, v, acc in dirs:
+            x = (x0 + h * diam * v + 0.5 * (h * diam) ** 2 * acc).reshape(6, 3)
+            r = x[hinges.hinged] - hinges.c
+            pred = tuple(map(float, np.arctan2(dot_rows(r, hinges.w), dot_rows(r, hinges.u))))
+            psi, jac, ok = hinges.correct(pred, (0.0, 0.0, 0.0), tau, h, drive.corrector_tol,
+                                          2 * drive.max_newton)
+            if ok and (best is None or hinges.distance(psi, pred) < best[0]):
+                best = (hinges.distance(psi, pred), tau, (psi, jac))
         if best is not None:
             return best[1], best[2], h
         h *= 0.5
+        hinges.counts["halvings"] += 1
     raise NotFlexible("flat configuration has no finite flex "
                       "(no first-order flex extends to second order)")
-
-
-def _wrap_angle(a: float) -> float:
-    return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
 def flex_path(r0: Realization, drive: DriveSpec = DriveSpec()) -> FlexionPath:
     """Trace a deformation from r0 that keeps r0's edge lengths.
 
     Raises DegenerateFacet when a facet of r0 has (near-)zero area and
-    NotFlexible when the start has no flex.  A corrector failure
-    after step reduction to the floor raises ContinuationStall carrying the
-    partial path; a tangent-space ambiguity (at a flat start, a null space
-    other than the three out-of-plane directions) raises BranchAmbiguity
-    the same way.
-
-    Each step keeps only what the continuation reads: the accepted point,
-    its arclength and its coplanarity measure.  The other columns of the
-    path are built from the stacked points once, when it returns or raises.
+    NotFlexible when the start has no flex.  A corrector failure after step
+    reduction to the floor raises ContinuationStall carrying the partial
+    path; a tangent-space ambiguity raises BranchAmbiguity the same way.
+    The continuation runs in the hinge angles of the pin's facet, or of
+    facet ABC when the pin is not a facet.
     """
     check_facets(r0)
-    sys = _System(r0, drive.pin)
-    x = r0.flat_vector()
-    null, pinv, stresses = sys.null_space(x, drive.rank_tol)
-    if null.shape[0] == 0:
-        raise NotFlexible("flex dimension 0: the pinned Jacobian has full rank")
-    meta = {"corrector": sys.counts}
-    xs, arcs, measures = [x], [0.0], [coplanarity_measure(r0)]
-    events: list[PathEvent] = []
+    if len(set(drive.pin) & set(VERTICES)) != 3:
+        raise ValueError(f"pin {tuple(drive.pin)}: expected three distinct vertex labels")
+    pin, p0, diam = tuple(VERTICES.index(v) for v in drive.pin), r0.points, r0.diameter()
+    if not np.any(np.cross(p0[pin[1]] - p0[pin[0]], p0[pin[2]] - p0[pin[0]])):
+        raise ValueError("pin vertices are collinear")
+    facet = next((tuple(map(int, f)) for f in FACET_VERTS if set(f) == set(pin)), (0, 1, 2))
+    hinges = _Hinges(p0, facet, diam)
+    counts, psi = hinges.counts, (0.0, 0.0, 0.0)
+    jac = hinges.evaluate(psi)[1]
+    dim = sum(s < drive.rank_tol for s in _singular_values(jac))
+    if dim == 0:
+        raise NotFlexible("flex dimension 0: the hinge-angle Jacobian has full rank")
+    psis, events, meta = [psi], [], {"corrector": counts}
 
     def path(termination: str) -> FlexionPath:
-        return FlexionPath.from_points(xs, arcs, sys.target_len, measures,
-                                       drive.flat_event_tol, events=events,
+        points = hinges.points(np.array(psis))
+        points[0] = p0
+        if set(pin) != set(facet):  # re-pose into the pin's gauge
+            local = (points[1:] - points[1:, pin[0], None]) @ \
+                _pin_frames(points[1:], pin).swapaxes(-1, -2)
+            points[1:] = local @ _pin_frames(p0, pin) + p0[pin[0]]
+        measures = coplanarity_array(points)
+        arcs = np.cumsum(row_norms(np.diff(points, axis=0).reshape(-1, 18))) / diam
+        for ev in filter(lambda ev: ev.kind == "flat", events):
+            ev.info["measure"] = float(measures[ev.frame_index])
+        return FlexionPath.from_points(points, np.r_[0.0, arcs], edge_length_array(p0),
+                                       measures, drive.flat_event_tol, events=events,
                                        termination=termination, drive=drive, meta=meta)
 
-    def flat(k: int) -> bool:
-        return measures[k] <= drive.flat_event_tol
+    def at(psi) -> Realization:
+        return Realization(hinges.points(np.array([psi]))[0])
 
-    flat_events = 0
-    if flat(0):
-        events.append(PathEvent("flat", 0, {"measure": measures[0]}))
-        flat_events += 1
-        if drive.stop_after_flat_events is not None \
-                and flat_events >= drive.stop_after_flat_events:
-            return path("flat_event_target")
+    def stop_at_flat(k: int) -> bool:
+        events.append(PathEvent("flat", k, {}))
+        return len(events) >= (drive.stop_after_flat_events or math.inf)
+
+    flat0 = coplanarity_measure(r0) <= drive.flat_event_tol
+    if flat0 and stop_at_flat(0):
+        return path("flat_event_target")
 
     # orient so the driven dihedral initially moves with drive.direction; at a
     # flat start this picks between the two mirror-image ways out of the plane
-    eps = 1e-6 * sys.diam
     e = canonical_edge(drive.edge[0], drive.edge[1])
     d0 = dihedral_angle(r0, e)
 
-    def orient(tau: np.ndarray) -> np.ndarray:
-        delta = _wrap_angle(dihedral_angle(Realization.from_flat(x + eps * tau), e) - d0)
-        flip = abs(delta) > 1e-12 and math.copysign(1.0, delta) != drive.direction
-        return -tau if flip else tau
+    def orient(tau) -> float:
+        delta = dihedral_angle(at(hinges.advance((0.0, 0.0, 0.0), tau, 1e-6)), e) - d0
+        delta = (delta + math.pi) % (2.0 * math.pi) - math.pi
+        return -1.0 if abs(delta) > 1e-12 and math.copysign(1.0, delta) != drive.direction \
+            else 1.0
 
-    h = drive.initial_step
-    first = None  # a flat start's corrected first step
-    if null.shape[0] == 1:
-        tau = orient(null[0])
-        chord = np.column_stack([pinv, tau * sys.diam])
-    elif flat(0) and null.shape[0] == 3:
-        tau, first, h = _flat_start_step(sys, x, null, stresses, drive, orient)
-        chord = None
+    h, first = drive.initial_step, None  # first: a flat start's corrected first step
+    if dim == 1:
+        tau = _null_vector(jac)
+        tau = tuple(orient(tau) * t for t in tau)
+    elif flat0 and dim == 3:
+        tau, first, h = _flat_start_step(hinges, r0, drive, orient)
     else:
-        raise BranchAmbiguity(
-            f"tangent space dimension {null.shape[0]} at a "
-            f"{'flat' if flat(0) else 'non-flat'} start", path(""))
+        raise BranchAmbiguity(f"tangent space dimension {dim} at a "
+                              f"{'flat' if flat0 else 'non-flat'} start", path(""))
 
     h_floor = drive.initial_step * drive.min_step_factor
-    arc = 0.0
     lo, hi = drive.dihedral_range
     # arctan2 stays in [-pi, pi], so only a narrower range can be left
     check_range = lo > -math.pi or hi < math.pi
-    heights = sys.heights(x)
-
-    def insert_flat(k: int) -> bool:
-        """Solve for the flat configuration where the heights above the pin
-        plane change sign between frames k - 1 and k, starting from the chord
-        point where their projection on frame k - 1's heights interpolates to
-        zero.  Insert it as frame k when it lies between the two frames."""
-        x_lo, x_hi = xs[k - 1], xs[k]
-        h_lo = sys.heights(x_lo)
-        g_lo, g_hi = float(h_lo @ h_lo), float(sys.heights(x_hi) @ h_lo)
-        x_flat, ok = sys.flatten(x_lo + g_lo / (g_lo - g_hi) * (x_hi - x_lo),
-                                 drive.corrector_tol, 2 * drive.max_newton)
-        gap = float(np.linalg.norm(x_hi - x_lo))
-        to_lo = float(np.linalg.norm(x_flat - x_lo))
-        if not (ok and to_lo < gap and np.linalg.norm(x_flat - x_hi) < gap):
-            return False
-        measure = coplanarity_measure(Realization.from_flat(x_flat))
-        if not measure <= drive.flat_event_tol:
-            return False
-        xs.insert(k, x_flat)
-        arcs.insert(k, arcs[k - 1] + to_lo / sys.diam)
-        measures.insert(k, measure)
-        return True
-
+    heights = [0.0] * 3 if flat0 else hinges.heights(psi)  # no crossing out of a flat start
     termination = "max_steps"
-    step_count = 0
-    while step_count < drive.max_steps:
+    while counts["steps"] < drive.max_steps:
         if first is not None:
-            x_new, first = first, None
+            (psi_new, jac), first = first, None
         else:
-            x_new, ok = sys.correct(x + h * sys.diam * tau, x, tau, h, drive.corrector_tol,
-                                    drive.max_newton, chord)
+            psi_new, jac, ok = hinges.correct(hinges.advance(psi, tau, h), psi, tau, h,
+                                              drive.corrector_tol, drive.max_newton)
             if not ok:
                 h *= 0.5
+                counts["halvings"] += 1
                 if h < h_floor:
                     raise ContinuationStall(
-                        f"corrector failed at step {step_count}, step size {h:g}",
+                        f"corrector failed at step {counts['steps']}, step size {h:g}",
                         path("stall"))
                 continue
+        counts["steps"] += 1
+        psis.append(psi_new)
 
-        arc += float(np.linalg.norm(x_new - x)) / sys.diam
-        step_count += 1
-        xs.append(x_new)
-        arcs.append(arc)
-        measures.append(coplanarity_measure(Realization.from_flat(x_new)))
-
-        null, pinv, _ = sys.null_space(x_new, drive.rank_tol)
-        if null.shape[0] == 0:
+        sv = _singular_values(jac)
+        if sv[2] >= drive.rank_tol:
             termination = "rank_loss"
             break
-        if null.shape[0] > 1:
-            proj = null.T @ (null @ tau)
-            nn = float(np.linalg.norm(proj))
-            if measures[-1] > 10.0 * drive.flat_event_tol and nn < 0.9:
-                events.append(PathEvent("branch_ambiguity", len(xs) - 1,
-                                        {"dimension": int(null.shape[0])}))
-                raise BranchAmbiguity(
-                    f"tangent dimension {null.shape[0]} at step {step_count}",
-                    path("branch_ambiguity"))
-            tau_new = proj / nn
-        else:
-            tau_new = null[0]
-        if float(tau_new @ tau) < 0.0:
-            tau_new = -tau_new
-        tau = tau_new
-        chord = np.column_stack([pinv, tau * sys.diam]) if null.shape[0] == 1 else None
-        heights_new = sys.heights(x_new)
-        crossed = float(heights_new @ heights) < 0.0
-        x, heights = x_new, heights_new
+        if sv[1] >= drive.rank_tol:
+            tau_new = _null_vector(jac)
+        else:  # two or three null directions: keep the old tangent's part in them
+            dim, tau_new = 3 if sv[0] < drive.rank_tol else 2, tau
+            if dim == 2:  # project out the one row direction, the largest row's
+                row = max(((jac[0], jac[1], 0.0), (0.0, jac[2], jac[3]), (jac[5], 0.0, jac[4])),
+                          key=lambda r: r[0] ** 2 + r[1] ** 2 + r[2] ** 2)
+                k = sum(r * t for r, t in zip(row, tau)) / sum(r * r for r in row)
+                tau_new = tuple(t - k * r for t, r in zip(tau, row))
+            nn = math.sqrt(sum(t * t for t in tau_new))
+            if nn < 0.9 and coplanarity_measure(at(psi_new)) > 10.0 * drive.flat_event_tol:
+                events.append(PathEvent("branch_ambiguity", len(psis) - 1, {"dimension": dim}))
+                raise BranchAmbiguity(f"tangent dimension {dim} at step {counts['steps']}",
+                                      path("branch_ambiguity"))
+            tau_new = tuple(t / nn for t in tau_new)
+        sign = 1.0 if sum(a * b for a, b in zip(tau_new, tau)) >= 0.0 else -1.0
+        tau = tuple(sign * t for t in tau_new)
+        heights_new = hinges.heights(psi_new)
+        crossed = sum(a * b for a, b in zip(heights, heights_new)) < 0.0
+        psi_old, psi, heights = psi, psi_new, heights_new
 
-        k = len(xs) - 1
-        if not flat(k - 1) and (flat(k) or crossed and insert_flat(k)):
-            events.append(PathEvent("flat", k, {"measure": measures[k]}))
-            flat_events += 1
-            if drive.stop_after_flat_events is not None \
-                    and flat_events >= drive.stop_after_flat_events:
-                termination = "flat_event_target"
-                break
+        if crossed:
+            # the flat configuration crossed: each angle at its height's zero,
+            # k pi - alpha, nearest the middle of the step; inserted as the event
+            # frame when it meets the tolerance and lies between the two frames
+            counts["flat_solves"] += 1
+            flat = tuple(round((0.5 * (a + b) + al) / math.pi) * math.pi - al
+                         for a, b, al in zip(psi_old, psi, hinges.alpha))
+            gap = hinges.distance(psi_old, psi)
+            if hinges.met(hinges.evaluate(flat)[0], drive.corrector_tol) \
+                    and max(hinges.distance(flat, psi_old), hinges.distance(flat, psi)) < gap:
+                psis.insert(len(psis) - 1, flat)
+                if stop_at_flat(len(psis) - 2):
+                    termination = "flat_event_target"
+                    break
 
-        if check_range and not lo <= dihedral_angle(Realization.from_flat(x_new), e) <= hi:
+        if check_range and not lo <= dihedral_angle(at(psi), e) <= hi:
             termination = "range_exit"
             break
 

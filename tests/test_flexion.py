@@ -9,20 +9,22 @@ import pytest
 from flexoct import flexion
 from flexoct.builders import build_type1, build_type1_mirror, build_type2, build_type3_flat
 from flexoct.flexion import (BranchAmbiguity, ContinuationStall, DriveSpec,
-                             NotFlexible, _System, _common_quadric_zero,
-                             facet_crossings, flex_dimension, flex_path,
-                             rigidity_matrix)
-from flexoct.octahedron import (EDGE_ORDER, Realization, coplanarity_measure,
+                             NotFlexible, _common_quadric_zero, _Hinges, _null_vector,
+                             _singular_values, facet_crossings, flex_dimension,
+                             flex_path, rigidity_matrix)
+from flexoct.linkage import tetra_coeffs
+from flexoct.octahedron import (EDGE_ORDER, VERTICES, Realization, coplanarity_measure,
                                 dihedral_array, edge_length_array, edge_lengths,
-                                regular_octahedron)
+                                regular_octahedron, vertex_face_angles,
+                                vertex_half_tangents)
 
 EXAMPLE_T1 = ((1, 0, 0.5), (0.1, 1, -0.4), (0.7, -0.8, 0.1))
 EXAMPLE_T3 = ((0, 0), (4, 0), (1, 2.5), (5 / 3, 2.5 / 3))
 TYPE3_DRIVE = DriveSpec(max_steps=2000, initial_step=0.01, max_step=0.02,
                         stop_after_flat_events=2)
-# two corrector iterations, and one halving of the step before the floor:
-# EXAMPLE_T1 stalls at its third step
-STALL_DRIVE = DriveSpec(max_newton=2, min_step_factor=0.5)
+# two corrector iterations, steps growing from 0.03, and one halving of the
+# step before the floor: EXAMPLE_T1 stalls at its third step
+STALL_DRIVE = DriveSpec(max_newton=2, min_step_factor=0.5, initial_step=0.03, max_step=0.3)
 COLUMNS = ("points", "arclength", "dihedrals", "edge_deviation", "flat_measure", "flat")
 
 
@@ -188,24 +190,35 @@ class TestFlexPath:
 
     def test_pinning_invariance(self):
         """Dihedrals as functions of the driven dihedral do not depend on
-        which facet is pinned."""
+        which vertices are pinned, a facet or not, and every frame keeps the
+        pin's gauge: its first vertex fixed, its second on the line from the
+        first and its third in their plane."""
         r = build_type1(*EXAMPLE_T1)
         p1 = flex_path(r, drive=DriveSpec(max_steps=60, pin=("A", "B", "C")))
-        p2 = flex_path(r, drive=DriveSpec(max_steps=60, pin=("D", "E", "F")))
         x1 = p1.dihedral_series("BC")
-        x2 = p2.dihedral_series("BC")
-        lo = max(x1.min(), x2.min()) + 1e-3
-        hi = min(x1.max(), x2.max()) - 1e-3
-        assert hi > lo
-        for e in ("AB", "CD", "AE"):
-            y1 = p1.dihedral_series(e)
-            y2 = p2.dihedral_series(e)
-            o1 = np.argsort(x1)
-            o2 = np.argsort(x2)
-            for x in np.linspace(lo, hi, 7):
-                v1 = np.interp(x, x1[o1], y1[o1])
-                v2 = np.interp(x, x2[o2], y2[o2])
-                assert v1 == pytest.approx(v2, abs=1e-5)
+        for pin in (("D", "E", "F"), ("A", "D", "B")):
+            p2 = flex_path(r, drive=DriveSpec(max_steps=60, pin=pin))
+            x2 = p2.dihedral_series("BC")
+            lo = max(x1.min(), x2.min()) + 1e-3
+            hi = min(x1.max(), x2.max()) - 1e-3
+            assert hi > lo
+            for e in ("AB", "CD", "AE"):
+                y1 = p1.dihedral_series(e)
+                y2 = p2.dihedral_series(e)
+                o1 = np.argsort(x1)
+                o2 = np.argsort(x2)
+                for x in np.linspace(lo, hi, 7):
+                    v1 = np.interp(x, x1[o1], y1[o1])
+                    v2 = np.interp(x, x2[o2], y2[o2])
+                    assert v1 == pytest.approx(v2, abs=1e-5)
+            i0, i1, i2 = (VERTICES.index(v) for v in pin)
+            p, tol = p2.points, 1e-12 * r.diameter()
+            e1 = (p[0, i1] - p[0, i0]) / np.linalg.norm(p[0, i1] - p[0, i0])
+            n = np.cross(e1, p[0, i2] - p[0, i0])
+            n /= np.linalg.norm(n)
+            assert np.max(np.abs(p[:, i0] - p[0, i0])) <= tol
+            assert np.max(np.abs(np.cross(p[:, i1] - p[:, i0], e1))) <= tol
+            assert np.max(np.abs((p[:, i2] - p[:, i0]) @ n)) <= tol
 
     def test_repeated_pin_label_refused(self):
         """A pin naming a vertex twice is a named error before any step."""
@@ -316,7 +329,7 @@ class TestFlatCrossings:
         changes = int(np.sum(np.einsum("fv,fv->f", h[:-1], h[1:]) < 0.0))
         assert changes == 5
         assert events[0] == 0 and len(events) == 1 + changes
-        assert path.meta["corrector"]["flat_probes"] == changes
+        assert path.meta["corrector"]["flat_solves"] == changes
 
     def test_sampled_shapes(self, rng):
         from conftest import sample_type3_triangles
@@ -326,29 +339,57 @@ class TestFlatCrossings:
             assert len(path.flat_events()) == 2
             self.assert_no_missed_crossing(path)
 
-    def test_flatten(self, rng):
-        """The flat solve returns the planar realization with the target
-        lengths near its start, to rounding, and fails where none exists."""
-        _, r = build_type3_flat(*EXAMPLE_T3)
-        sys = _System(r, ("A", "B", "C"))
-        x0 = r.flat_vector()
-        start = x0 + rng.uniform(-1e-3, 1e-3, 18) * np.repeat([0, 0, 0, 1, 1, 1], 3)
-        x, ok = sys.flatten(start, 1e-12, 50)
-        assert ok
-        assert np.max(np.abs(x - x0)) <= 1e-12 * sys.diam
-        # all twelve edges equal: the regular octahedron has no flat realization
-        reg = regular_octahedron()
-        x, ok = _System(reg, ("A", "B", "C")).flatten(reg.flat_vector(), 1e-12, 50)
-        assert not ok
-        assert sys.counts["flat_probes"] == 1
-
     def test_type1_path_has_no_flat_event(self):
         """A type 1 path meets no flat configuration: no event and no flat
         solve."""
         path = flex_path(build_type1(*EXAMPLE_T1), drive=DriveSpec(max_steps=100))
         self.assert_no_missed_crossing(path)
         assert path.flat_events() == []
-        assert path.meta["corrector"]["flat_probes"] == 0
+        assert path.meta["corrector"]["flat_solves"] == 0
+
+
+def memoir_residual(path) -> float:
+    """The largest residual over the frames of a path of the memoir's
+    relation at C (tracked edges to B and A), B (C, A) and A (B, C), with the
+    coefficients of frame 0's face angles and each frame's half-tangents, in
+    the form smooth through pi: a t^2 u^2 + b t^2 + 2c t u + d u^2 + e times
+    cos^2(phi/2) cos^2(psi/2), over the largest coefficient."""
+    worst = 0.0
+    for v, pair in (("C", ("B", "A")), ("B", ("C", "A")), ("A", ("B", "C"))):
+        co = tetra_coeffs(vertex_face_angles(Realization(path.points[0]), v, pair))
+        for p in path.points:
+            t, u = vertex_half_tangents(Realization(p), v, pair)
+            worst = max(worst, abs(co.residual(t, u)) / ((1.0 + t * t) * (1.0 + u * u))
+                        / co.scale())
+    return worst
+
+
+class TestMemoirRelations:
+    """Paths against the memoir's own equations at the vertices of facet
+    ABC, an oracle that reads no residual of the continuation."""
+
+    @pytest.mark.parametrize("family", ["type1", "type2", "type3"])
+    def test_every_frame_satisfies_the_relations(self, rng, family):
+        from conftest import (sample_type1_inputs, sample_type2_inputs,
+                              sample_type3_triangles)
+        if family == "type1":
+            starts = [build_type1(*pts) for pts in sample_type1_inputs(rng, 2)]
+        elif family == "type2":
+            starts = [build_type2(*pts) for pts in sample_type2_inputs(rng, 2)]
+        else:
+            starts = [build_type3_flat(pa, pb, pc, (pa + pb + pc) / 3.0)[1]
+                      for pa, pb, pc in sample_type3_triangles(rng, 2)]
+        for r in starts:
+            path = flex_path(r, drive=TYPE3_DRIVE if family == "type3"
+                             else DriveSpec(max_steps=100))
+            assert memoir_residual(path) <= 1e-10
+
+    def test_oracle_sees_a_moved_vertex(self):
+        """Moving D by 1e-6 diameters in one frame shows in that frame."""
+        path = flex_path(build_type1(*EXAMPLE_T1), drive=DriveSpec(max_steps=10))
+        assert memoir_residual(path) <= 1e-10
+        path.points[5, 3] += 1e-6 * np.linalg.norm(np.ptp(path.points[0], axis=0))
+        assert memoir_residual(path) >= 1e-8
 
 
 class TestFacetCrossings:
@@ -403,81 +444,74 @@ class TestFacetCrossings:
 
 
 class TestCorrector:
-    """The chord corrector against damped Gauss-Newton on one step."""
+    """The Gauss-Newton corrector in the three hinge angles."""
 
-    H = 0.02
-    TOL = 1e-12
-
-    @pytest.fixture
-    def step(self):
+    def test_step_meets_tolerance_and_arc(self):
+        """One corrected step keeps every relative squared-length error
+        under the tolerance, and its chord projects onto the tangent at the
+        start as h."""
         r = build_type1(*EXAMPLE_T1)
-        sys = _System(r, ("A", "B", "C"))
-        x = r.flat_vector()
-        null, pinv, _ = sys.null_space(x, 1e-7)
-        tau = null[0]
-        x_pred = x + self.H * sys.diam * tau
-        return r, sys, x, tau, x_pred, np.column_stack([pinv, tau * sys.diam])
-
-    def correct(self, sys, x, tau, x_pred, chord):
-        return sys.correct(x_pred, x, tau, self.H, self.TOL, 25, chord)
-
-    def test_failed_chord_reproduces_gauss_newton(self, step):
-        r, sys, x, tau, x_pred, _ = step
-        # the chord inverse of a point five steps along the path
-        far = flex_path(r, drive=DriveSpec(max_steps=5)).points[-1]
-        null, pinv, _ = sys.null_space(far.reshape(-1), 1e-7)
-        chord = np.column_stack([pinv, null[0] * sys.diam])
-        x_chord, ok_chord = self.correct(sys, x, tau, x_pred, chord)
-        used = dict(sys.counts)
-        assert used["chord_steps"] == 0
-        assert used["gauss_newton_steps"] == 1
-        x_gn, ok_gn = self.correct(sys, x, tau, x_pred, None)
-        gn_evals = sys.counts["residual_evals"] - used["residual_evals"]
-        # the chord moved off x_pred before it failed (initial residual, at
-        # least one halving iteration, the failing one), so Gauss-Newton
-        # restarting from its last iterate would end elsewhere
-        assert used["residual_evals"] - gn_evals >= 3
-        assert ok_chord and ok_gn
-        assert np.array_equal(x_chord, x_gn)
-
-    def test_chord_agrees_with_gauss_newton(self, step):
-        _, sys, x, tau, x_pred, chord = step
-        x_chord, ok = self.correct(sys, x, tau, x_pred, chord)
+        hinges = _Hinges(r.points, (0, 1, 2), r.diameter())
+        zero = (0.0, 0.0, 0.0)
+        tau = _null_vector(hinges.evaluate(zero)[1])
+        psi, jac, ok = hinges.correct(hinges.advance(zero, tau, 0.02), zero, tau, 0.02,
+                                      1e-12, 25)
         assert ok
-        assert sys.counts["chord_steps"] == 1
-        assert sys.counts["gauss_newton_steps"] == 0
-        x_gn, _ = self.correct(sys, x, tau, x_pred, None)
-        assert np.max(np.abs(x_chord - x_gn)) <= 1e-10
-        lens = edge_length_array(x_chord.reshape(6, 3))
-        assert np.max(np.abs(lens ** 2 / sys.targets2 - 1.0)) < self.TOL
+        assert 2 <= hinges.counts["newton_iterations"] <= 6
+        p = hinges.points(np.array([psi]))[0]
+        target = edge_length_array(r.points)
+        assert np.max(np.abs(edge_length_array(p) ** 2 / target ** 2 - 1.0)) < 1e-12
+        chord = (p - hinges.points(np.array([zero]))[0])[hinges.hinged]
+        tangents = np.cross(np.cross(hinges.u, hinges.w), hinges.u)  # w at psi = 0
+        assert np.einsum("k,kj,kj", tau, chord, tangents) / r.diameter() \
+            == pytest.approx(0.02, rel=1e-12)
+        assert jac == hinges.evaluate(psi)[1]
+
+    def test_singular_values_and_null_vector(self, rng):
+        """The closed-form singular values and null vector of the cyclic
+        Jacobian agree with numpy's SVD, for small singular values too."""
+        for scale in (1.0, 1e-4, 1e-9):
+            a0, b0, a1, b1, a2, b2 = rng.normal(size=6)
+            # a null vector v: a_k v_k + b_k v_{k+1} = 0 for rows 0 and 1
+            v = rng.normal(size=3)
+            b0, b1 = -a0 * v[0] / v[1], -a1 * v[1] / v[2]
+            b2 = -(a2 * v[2]) / v[0] + scale
+            jac = (a0, b0, a1, b1, a2, b2)
+            m = np.array([[a0, b0, 0.0], [0.0, a1, b1], [b2, 0.0, a2]])
+            sv = np.linalg.svd(m, compute_uv=False)
+            assert np.allclose(_singular_values(jac), sv, rtol=1e-9, atol=1e-15)
+            if scale < 1e-6:
+                nv = np.array(_null_vector(jac))
+                assert abs(abs(nv @ v) / np.linalg.norm(v) - 1.0) <= 1e-12
+        assert _singular_values((0.0,) * 6) == (0.0, 0.0, 0.0)
 
     def test_linalg_calls_per_frame(self, linalg_calls):
+        """A path away from flat configurations makes no lstsq call and two
+        SVDs: the start's coplanarity measure and the batched one of all
+        frames."""
         path = flex_path(build_type1(*EXAMPLE_T1), drive=DriveSpec(max_steps=100))
         frames = len(path.frames)
         assert frames == 101
-        assert linalg_calls["lstsq"] <= 0.5 * frames
-        # per frame one null-space SVD and one in coplanarity_measure, plus
-        # the start's rank check and tangent
-        assert linalg_calls["svd"] <= 2 * frames + 2
+        assert linalg_calls["lstsq"] == 0
+        assert linalg_calls["svd"] == 2
 
     def test_flat_search_lstsq_per_frame(self, linalg_calls):
-        """A flat crossing costs one flat solve, not a search of corrector
-        probes."""
+        """A flat crossing costs one closed-form flat solve, not a search of
+        corrector probes."""
         _, r = build_type3_flat(*EXAMPLE_T3)
         path = flex_path(r, drive=TYPE3_DRIVE)
         assert len(path.flat_events()) == 2
-        assert path.meta["corrector"]["flat_probes"] == 1
+        assert path.meta["corrector"]["flat_solves"] == 1
         assert linalg_calls["lstsq"] <= 6 * len(path.frames)
 
     def test_counts_in_meta(self):
         path = flex_path(build_type1(*EXAMPLE_T1), drive=DriveSpec(max_steps=20))
         counts = path.meta["corrector"]
-        assert set(counts) == {"chord_steps", "gauss_newton_steps", "residual_evals",
-                               "flat_probes"}
+        assert set(counts) == {"steps", "newton_iterations", "halvings", "flat_solves"}
         assert all(isinstance(v, int) for v in counts.values())
-        assert counts["chord_steps"] + counts["gauss_newton_steps"] >= 20
-        assert counts["flat_probes"] == 0
-        assert counts["residual_evals"] > counts["chord_steps"]
+        assert counts["steps"] == 20
+        assert counts["newton_iterations"] >= 2 * counts["steps"]
+        assert counts["halvings"] == counts["flat_solves"] == 0
 
 
 class TestFlatStart:
@@ -518,16 +552,50 @@ class TestFlatStart:
             flex_path(Realization(pts))
 
     def test_flat_start_null_dimension_not_three(self):
-        """A rank tolerance that counts a fourth direction as null leaves the
-        flat start's tangent ambiguous."""
+        """A start within the flat tolerance whose hinge-angle Jacobian keeps
+        one direction above the rank tolerance leaves the flat start's
+        tangent ambiguous: D lifted by 1e-6 off the plane gives singular
+        values 3.5e-5, 5.8e-7 and 0."""
         _, r = build_type3_flat(*EXAMPLE_T3)
-        with pytest.raises(BranchAmbiguity, match="dimension 4 at a flat start") as err:
-            flex_path(r, drive=DriveSpec(rank_tol=4.4e-3))
+        pts = r.points.copy()
+        pts[3, 2] += 1e-6
+        r = Realization(pts)
+        assert flex_path(r, drive=DriveSpec(max_steps=1)).flat[0]  # one null direction
+        with pytest.raises(BranchAmbiguity, match="dimension 2 at a flat start") as err:
+            flex_path(r, drive=DriveSpec(rank_tol=1e-5))
         partial = err.value.partial
         assert_columns_filled(partial, 1)
         assert np.array_equal(partial.points[0], r.points)
         assert partial.flat[0] and partial.edge_deviation[0] == 0.0
         assert [(ev.kind, ev.frame_index) for ev in partial.events] == [("flat", 0)]
+
+    # the draws of test_flat_type1_starts that admit no finite flex
+    RIGID_FLAT_TYPE1 = (0, 1, 8, 15, 16, 18, 22, 25, 31, 33, 37, 40, 44, 46, 53, 56, 59,
+                        60, 65, 66, 67, 69, 71, 73, 76)
+
+    def test_flat_type1_starts(self):
+        """Flat starts beyond type 3: half-turn figures with A, B and F drawn
+        in [-2, 2]^2 at z = 0, built about the x axis (in the plane) and the
+        z axis (its normal).  55 of the 80 leave the plane and hold their
+        edge lengths for 40 steps; the other 25 have no common zero of their
+        self-stress forms and raise NotFlexible."""
+        rng = np.random.default_rng(5)
+        flexing = []
+        for i in range(40):
+            pa, pb, pf = (np.r_[rng.uniform(-2, 2, 2), 0.0] for _ in range(3))
+            for j, axis in enumerate(((1, 0, 0), (0, 0, 1))):
+                r = build_type1(pa, pb, pf, (0, 0, 0), axis)
+                try:
+                    path = flex_path(r, drive=DriveSpec(max_steps=40))
+                except NotFlexible as exc:
+                    assert "no finite flex" in str(exc)
+                    continue
+                flexing.append(2 * i + j)
+                assert path.flat[0] and path.meta["corrector"]["steps"] == 40
+                assert np.max(path.edge_deviation) <= 5e-13
+                assert np.max(path.flat_measure) >= 1e-2
+        assert len(flexing) == 55
+        assert sorted(set(range(80)) - set(flexing)) == list(self.RIGID_FLAT_TYPE1)
 
     def test_flat_start_halves_its_first_step(self):
         """Flat starts whose first correction fails at drive.initial_step leave
@@ -552,13 +620,13 @@ class TestFlatStart:
         probe that chose the direction, so no prediction is corrected twice,
         and the driven dihedral leaves in drive.direction."""
         predictions = []
-        correct = _System.correct
+        correct = _Hinges.correct
 
-        def recording(self, x_pred, *args, **kwargs):
-            predictions.append(x_pred.tobytes())
-            return correct(self, x_pred, *args, **kwargs)
+        def recording(self, psi_pred, *args, **kwargs):
+            predictions.append(tuple(psi_pred))
+            return correct(self, psi_pred, *args, **kwargs)
 
-        monkeypatch.setattr(_System, "correct", recording)
+        monkeypatch.setattr(_Hinges, "correct", recording)
         _, r = build_type3_flat(*EXAMPLE_T3)
         path = flex_path(r, drive=DriveSpec(max_steps=3, direction=direction))
         assert len(path.frames) == 4
